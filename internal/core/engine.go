@@ -658,7 +658,11 @@ func (pr *Prepared) execute(ctx context.Context, opt *options) (*Result, error) 
 	obs.admitted(opt, e.gov)
 
 	if err := ctx.Err(); err != nil {
-		return nil, qerr.Classify(err)
+		// Expired after admission: still hand back the labelled (unstarted)
+		// stats tree every collected execution promises.
+		err = qerr.Classify(err)
+		finishCollector(pr.newCollector(opt, obs.query), opt, err, &obs)
+		return nil, err
 	}
 	if degraded {
 		par = 1

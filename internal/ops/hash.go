@@ -4,32 +4,39 @@ import "math/bits"
 
 // u64Map is a minimal open-addressing hash map from uint64 keys to uint64
 // values, tuned for the join/group operators: linear probing, power-of-two
-// capacity, multiply-shift hashing. The zero key is handled via an explicit
-// occupancy slice, avoiding sentinel restrictions on the key domain.
+// capacity, multiply-shift hashing. Each slot interleaves the key with its
+// value stored as value+1, so a probe touches one cache line and 0 marks an
+// empty slot without reserving a sentinel key; values must be below
+// math.MaxUint64 (they are positions and group ids).
 type u64Map struct {
-	keys  []uint64
-	vals  []uint64
-	used  []bool
+	slots []u64Slot
 	mask  uint64
 	shift uint
 	size  int
 }
 
+// u64Slot is one u64Map entry; val1 is the value plus one, 0 when empty.
+type u64Slot struct{ key, val1 uint64 }
+
 const hashMul = 0x9E3779B97F4A7C15 // 2^64 / golden ratio
 
 // newU64Map creates a map sized for about n entries.
 func newU64Map(n int) *u64Map {
+	m := &u64Map{}
+	m.alloc(n)
+	return m
+}
+
+// alloc replaces the slot array with an empty one sized for about n entries.
+func (m *u64Map) alloc(n int) {
 	cap := 16
 	for cap < n*2 {
 		cap <<= 1
 	}
-	return &u64Map{
-		keys:  make([]uint64, cap),
-		vals:  make([]uint64, cap),
-		used:  make([]bool, cap),
-		mask:  uint64(cap - 1),
-		shift: 64 - uint(bits.TrailingZeros64(uint64(cap))),
-	}
+	m.slots = make([]u64Slot, cap)
+	m.mask = uint64(cap - 1)
+	m.shift = 64 - uint(bits.TrailingZeros64(uint64(cap)))
+	m.size = 0
 }
 
 func (m *u64Map) slot(k uint64) uint64 {
@@ -38,63 +45,59 @@ func (m *u64Map) slot(k uint64) uint64 {
 
 // put inserts or overwrites the value for key k.
 func (m *u64Map) put(k, v uint64) {
-	if m.size*2 >= len(m.keys) {
+	if m.size*2 >= len(m.slots) {
 		m.grow()
 	}
 	i := m.slot(k)
-	for m.used[i] {
-		if m.keys[i] == k {
-			m.vals[i] = v
+	for m.slots[i].val1 != 0 {
+		if m.slots[i].key == k {
+			m.slots[i].val1 = v + 1
 			return
 		}
 		i = (i + 1) & m.mask
 	}
-	m.keys[i], m.vals[i], m.used[i] = k, v, true
+	m.slots[i] = u64Slot{k, v + 1}
 	m.size++
 }
 
 // getOrPut returns the existing value for k, or inserts def and returns it
 // with inserted=true.
 func (m *u64Map) getOrPut(k, def uint64) (v uint64, inserted bool) {
-	if m.size*2 >= len(m.keys) {
+	if m.size*2 >= len(m.slots) {
 		m.grow()
 	}
 	i := m.slot(k)
-	for m.used[i] {
-		if m.keys[i] == k {
-			return m.vals[i], false
+	for m.slots[i].val1 != 0 {
+		if m.slots[i].key == k {
+			return m.slots[i].val1 - 1, false
 		}
 		i = (i + 1) & m.mask
 	}
-	m.keys[i], m.vals[i], m.used[i] = k, def, true
+	m.slots[i] = u64Slot{k, def + 1}
 	m.size++
 	return def, true
 }
 
 // get looks up k.
 func (m *u64Map) get(k uint64) (uint64, bool) {
-	i := m.slot(k)
-	for m.used[i] {
-		if m.keys[i] == k {
-			return m.vals[i], true
+	slots, mask := m.slots, m.mask
+	for i := m.slot(k); ; i = (i + 1) & mask {
+		s := &slots[i]
+		if s.val1 == 0 {
+			return 0, false
 		}
-		i = (i + 1) & m.mask
+		if s.key == k {
+			return s.val1 - 1, true
+		}
 	}
-	return 0, false
 }
 
 func (m *u64Map) grow() {
-	old := *m
-	cap := len(old.keys) * 2
-	m.keys = make([]uint64, cap)
-	m.vals = make([]uint64, cap)
-	m.used = make([]bool, cap)
-	m.mask = uint64(cap - 1)
-	m.shift = 64 - uint(bits.TrailingZeros64(uint64(cap)))
-	m.size = 0
-	for i, u := range old.used {
-		if u {
-			m.put(old.keys[i], old.vals[i])
+	old := m.slots
+	m.alloc(len(old))
+	for _, s := range old {
+		if s.val1 != 0 {
+			m.put(s.key, s.val1-1)
 		}
 	}
 }

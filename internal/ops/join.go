@@ -2,6 +2,7 @@ package ops
 
 import (
 	"fmt"
+	"math"
 
 	"morphstore/internal/columns"
 	"morphstore/internal/formats"
@@ -14,13 +15,16 @@ import (
 // equal length: the matching probe positions and, aligned with them, the
 // build position each probe row joined with. The probe side streams through
 // the usual de/re-compression wrapper; the build side is decompressed once
-// into the hash table — matching the encoded hash-join of Lee et al. [39]:
-// compressed (dictionary-key) values are inserted and probed directly.
+// into a joinTable and its encoded keys are inserted and probed directly, as
+// in the encoded hash-join of Lee et al. [39]. The table is direct-address
+// when the build keys are dense (fewer than 2^32-1 rows and
+// hi-lo < max(4n, 2^18)) and a hash table otherwise; a duplicate build key
+// joins with its last position.
 func JoinN1(probeKeys, buildKeys *columns.Column, outProbe, outBuild columns.FormatDesc, style vector.Style) (probePos, buildPos *columns.Column, err error) {
 	if err := checkCols(probeKeys, buildKeys); err != nil {
 		return nil, nil, err
 	}
-	ht, err := buildJoinTable(buildKeys)
+	ht, err := buildJoinTable(buildKeys, "join")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -38,21 +42,14 @@ func JoinN1(probeKeys, buildKeys *columns.Column, outProbe, outBuild columns.For
 		return nil, nil, err
 	}
 
-	stageP := make([]uint64, blockBuf)
-	stageB := make([]uint64, blockBuf)
+	stageP := make([]uint64, 0, blockBuf)
+	stageB := make([]uint64, 0, blockBuf)
 	emit := func(vals []uint64, base uint64) error {
-		k := 0
-		for i, v := range vals {
-			if b, ok := ht.get(v); ok {
-				stageP[k] = base + uint64(i)
-				stageB[k] = b
-				k++
-			}
-		}
-		if err := wp.Write(stageP[:k]); err != nil {
+		p, b := ht.appendMatches(stageP, stageB, vals, base)
+		if err := wp.Write(p); err != nil {
 			return err
 		}
-		return wb.Write(stageB[:k])
+		return wb.Write(b)
 	}
 
 	if vv, ok := r.(formats.ValueViewer); ok {
@@ -98,33 +95,96 @@ func JoinN1(probeKeys, buildKeys *columns.Column, outProbe, outBuild columns.For
 	return probePos, buildPos, err
 }
 
-// buildJoinTable decompresses the unique build-side keys into a hash table
-// mapping key -> build position; shared by the sequential and parallel N:1
-// joins.
-func buildJoinTable(buildKeys *columns.Column) (*u64Map, error) {
+// buildJoinTable decompresses the build-side keys into the table mapping
+// key -> build position; shared by the sequential and parallel N:1 joins and
+// semijoins (op names the operator in errors).
+func buildJoinTable(buildKeys *columns.Column, op string) (*joinTable, error) {
 	build, err := readAll(buildKeys)
 	if err != nil {
-		return nil, fmt.Errorf("ops: join build side: %w", err)
+		return nil, fmt.Errorf("ops: %s build side: %w", op, err)
 	}
-	ht := newU64Map(len(build))
-	for i, k := range build {
-		ht.put(k, uint64(i))
-	}
-	return ht, nil
+	return newJoinTable(build), nil
 }
 
-// buildMembershipTable decompresses the build-side keys into a hash table
-// for existence probes; shared by the sequential and parallel semijoins.
-func buildMembershipTable(buildKeys *columns.Column) (*u64Map, error) {
-	build, err := readAll(buildKeys)
-	if err != nil {
-		return nil, fmt.Errorf("ops: semijoin build side: %w", err)
+// denseFloor is the span below which a build side always gets a
+// direct-address table, however few keys it has: 2^18 uint32 slots, 1 MiB.
+const denseFloor = 1 << 18
+
+// joinTable is the transient build side of a join: a read-only map from
+// build key to the key's last build position, probed concurrently by all
+// workers. When the keys are dense, that is the build side has fewer than
+// 2^32-1 rows and hi-lo < max(4n, denseFloor), it is a direct-address array
+// indexed by key-lo holding position+1 (0 = absent), never larger than
+// 1 MiB or than the >= 32n-byte hash table; otherwise it is a u64Map.
+type joinTable struct {
+	lo    uint64
+	slots []uint32 // dense table; unused when ht != nil
+	ht    *u64Map  // sparse fallback; nil when dense
+}
+
+// newJoinTable builds the table over keys, where key i has build position
+// i; a duplicate key keeps its last position.
+func newJoinTable(keys []uint64) *joinTable {
+	n := len(keys)
+	if n == 0 {
+		return &joinTable{}
 	}
-	ht := newU64Map(len(build))
-	for _, k := range build {
-		ht.put(k, 1)
+	lo, hi := keys[0], keys[0]
+	for _, k := range keys[1:] {
+		lo, hi = min(lo, k), max(hi, k)
 	}
-	return ht, nil
+	if uint64(n) < math.MaxUint32 && hi-lo < max(4*uint64(n), denseFloor) {
+		slots := make([]uint32, hi-lo+1)
+		for i, k := range keys {
+			slots[k-lo] = uint32(i + 1)
+		}
+		return &joinTable{lo: lo, slots: slots}
+	}
+	ht := newU64Map(n)
+	for i, k := range keys {
+		ht.put(k, uint64(i))
+	}
+	return &joinTable{ht: ht}
+}
+
+// appendMatches appends base+i to pos for every vals[i] found in the table
+// and, for a join (bpos != nil), the matched build position to bpos. Each of
+// the four table kind x output combinations gets its own loop, so the probe
+// loops carry no per-key dispatch. In the dense loops a key below lo wraps
+// to a huge offset, so one bounds check rejects both sides of the range.
+func (t *joinTable) appendMatches(pos, bpos, vals []uint64, base uint64) ([]uint64, []uint64) {
+	join := bpos != nil
+	switch {
+	case t.ht != nil && join:
+		for i, v := range vals {
+			if b, ok := t.ht.get(v); ok {
+				pos = append(pos, base+uint64(i))
+				bpos = append(bpos, b)
+			}
+		}
+	case t.ht != nil:
+		for i, v := range vals {
+			if _, ok := t.ht.get(v); ok {
+				pos = append(pos, base+uint64(i))
+			}
+		}
+	case join:
+		lo, slots := t.lo, t.slots
+		for i, v := range vals {
+			if d := v - lo; d < uint64(len(slots)) && slots[d] != 0 {
+				pos = append(pos, base+uint64(i))
+				bpos = append(bpos, uint64(slots[d]-1))
+			}
+		}
+	default:
+		lo, slots := t.lo, t.slots
+		for i, v := range vals {
+			if d := v - lo; d < uint64(len(slots)) && slots[d] != 0 {
+				pos = append(pos, base+uint64(i))
+			}
+		}
+	}
+	return pos, bpos
 }
 
 // SemiJoin returns the probe positions whose key occurs in the build-side
@@ -134,7 +194,7 @@ func SemiJoin(probeKeys, buildKeys *columns.Column, out columns.FormatDesc, styl
 	if err := checkCols(probeKeys, buildKeys); err != nil {
 		return nil, err
 	}
-	ht, err := buildMembershipTable(buildKeys)
+	ht, err := buildJoinTable(buildKeys, "semijoin")
 	if err != nil {
 		return nil, err
 	}
@@ -147,16 +207,10 @@ func SemiJoin(probeKeys, buildKeys *columns.Column, out columns.FormatDesc, styl
 	if err != nil {
 		return nil, err
 	}
-	stage := make([]uint64, blockBuf)
+	stage := make([]uint64, 0, blockBuf)
 	emit := func(vals []uint64, base uint64) error {
-		k := 0
-		for i, v := range vals {
-			if _, ok := ht.get(v); ok {
-				stage[k] = base + uint64(i)
-				k++
-			}
-		}
-		return w.Write(stage[:k])
+		p, _ := ht.appendMatches(stage, nil, vals, base)
+		return w.Write(p)
 	}
 
 	if vv, ok := r.(formats.ValueViewer); ok {

@@ -307,8 +307,8 @@ func (rt Runtime) Project(data, pos *columns.Column, out columns.FormatDesc, sty
 	return rt.stitchCompressed(out, pos.N(), [][]uint64{dst})
 }
 
-// ParSemiJoin is the morsel-parallel form of SemiJoin: the build-side hash
-// table is constructed once and probed read-only by all workers over
+// ParSemiJoin is the morsel-parallel form of SemiJoin: the build-side
+// joinTable is constructed once and probed read-only by all workers over
 // partitions of the probe column.
 func ParSemiJoin(probe, build *columns.Column, out columns.FormatDesc, style vector.Style, par int) (*columns.Column, error) {
 	return FixedRT(par).SemiJoin(probe, build, out, style)
@@ -327,7 +327,7 @@ func (rt Runtime) SemiJoin(probe, build *columns.Column, out columns.FormatDesc,
 		rt.seqFallback()
 		return SemiJoin(probe, build, out, style)
 	}
-	ht, err := buildMembershipTable(build)
+	ht, err := buildJoinTable(build, "semijoin")
 	if err != nil {
 		return nil, err
 	}
@@ -335,11 +335,7 @@ func (rt Runtime) SemiJoin(probe, build *columns.Column, out columns.FormatDesc,
 	err = rt.runParts(parts, func(_, i int, pt formats.Partition) error {
 		local := make([]uint64, 0, pt.Count/8+16)
 		if err := streamSection(probe, pt, func(vals []uint64, base uint64) error {
-			for j, v := range vals {
-				if _, ok := ht.get(v); ok {
-					local = append(local, base+uint64(j))
-				}
-			}
+			local, _ = ht.appendMatches(local, nil, vals, base)
 			return nil
 		}); err != nil {
 			return err
@@ -411,7 +407,7 @@ func (rt Runtime) SumAuto(in *columns.Column, style vector.Style, specialized bo
 	return rt.parSum(in, parts, style)
 }
 
-// ParJoinN1 is the morsel-parallel form of JoinN1: the build-side hash table
+// ParJoinN1 is the morsel-parallel form of JoinN1: the build-side joinTable
 // (key -> build position) is constructed once and probed read-only by all
 // workers over partitions of the probe column. Each worker stages its two
 // aligned position outputs (probe position, joined build position) in local
@@ -434,7 +430,7 @@ func (rt Runtime) JoinN1(probeKeys, buildKeys *columns.Column, outProbe, outBuil
 		rt.seqFallback()
 		return JoinN1(probeKeys, buildKeys, outProbe, outBuild, style)
 	}
-	ht, err := buildJoinTable(buildKeys)
+	ht, err := buildJoinTable(buildKeys, "join")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -444,12 +440,7 @@ func (rt Runtime) JoinN1(probeKeys, buildKeys *columns.Column, outProbe, outBuil
 		localP := make([]uint64, 0, pt.Count/8+16)
 		localB := make([]uint64, 0, pt.Count/8+16)
 		if err := streamSection(probeKeys, pt, func(vals []uint64, base uint64) error {
-			for j, v := range vals {
-				if b, ok := ht.get(v); ok {
-					localP = append(localP, base+uint64(j))
-					localB = append(localB, b)
-				}
-			}
+			localP, localB = ht.appendMatches(localP, localB, vals, base)
 			return nil
 		}); err != nil {
 			return err

@@ -168,32 +168,91 @@ func TestParallelProjectEquivalence(t *testing.T) {
 	}
 }
 
-func TestParallelSemiJoinEquivalence(t *testing.T) {
-	vals := parTestValues(parTestN)
-	buildVals := []uint64{1, 7, 42, 99, 123, 250, 444}
-	for _, probeDesc := range formats.AllDescs() {
-		probe, err := formats.Compress(vals, probeDesc)
-		if err != nil {
-			t.Fatal(err)
+// joinKeySet is the probe values and build keys of one join test case, and
+// whether the build side should get the dense direct-address table.
+type joinKeySet struct {
+	name         string
+	probe, build []uint64
+	dense        bool
+}
+
+// sparseKey maps a value far apart from its neighbours (outliers below
+// 2^28 stay below 2^60), so mapped build keys fail the density test and take
+// the hash fallback while matching exactly the rows the unmapped ones did.
+func sparseKey(v uint64) uint64 { return v<<32 | 3 }
+
+// joinKeySets returns a join case twice: as given, with the dense build side
+// the caller chose, and mapped through sparseKey, so every cross product
+// covers both build-table kinds.
+func joinKeySets(t *testing.T, probe, build []uint64) []joinKeySet {
+	t.Helper()
+	mapped := func(vals []uint64) []uint64 {
+		out := make([]uint64, len(vals))
+		for i, v := range vals {
+			out[i] = sparseKey(v)
 		}
-		for _, buildDesc := range []columns.FormatDesc{columns.UncomprDesc, columns.DynBPDesc} {
-			build, err := formats.Compress(buildVals, buildDesc)
+		return out
+	}
+	sets := []joinKeySet{
+		{"dense", probe, build, true},
+		{"sparse", mapped(probe), mapped(build), false},
+	}
+	for _, ks := range sets {
+		if dense := newJoinTable(ks.build).ht == nil; dense != ks.dense {
+			t.Fatalf("%s build side: dense table = %v", ks.name, dense)
+		}
+	}
+	return sets
+}
+
+// nestedLoopJoin is the row-wise reference N:1 join: every probe row paired
+// with the last build row holding an equal key.
+func nestedLoopJoin(probe, build []uint64) (pos, bpos []uint64) {
+	for i, v := range probe {
+		match := -1
+		for j, b := range build {
+			if b == v {
+				match = j
+			}
+		}
+		if match >= 0 {
+			pos = append(pos, uint64(i))
+			bpos = append(bpos, uint64(match))
+		}
+	}
+	return pos, bpos
+}
+
+func TestParallelSemiJoinEquivalence(t *testing.T) {
+	for _, ks := range joinKeySets(t, parTestValues(parTestN), []uint64{1, 7, 42, 99, 123, 250, 444}) {
+		refPos, _ := nestedLoopJoin(ks.probe, ks.build)
+		for _, probeDesc := range formats.AllDescs() {
+			probe, err := formats.Compress(ks.probe, probeDesc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, outDesc := range formats.AllDescs() {
-				for _, style := range vector.Styles {
-					want, err := SemiJoin(probe, build, outDesc, style)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, par := range parLevels {
-						got, err := ParSemiJoin(probe, build, outDesc, style, par)
+			for _, buildDesc := range []columns.FormatDesc{columns.UncomprDesc, columns.DynBPDesc} {
+				build, err := formats.Compress(ks.build, buildDesc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, outDesc := range formats.AllDescs() {
+					for _, style := range vector.Styles {
+						ctx := ks.name + "/" + probeDesc.String() + "->" + outDesc.String() + "/" + style.String()
+						want, err := SemiJoin(probe, build, outDesc, style)
 						if err != nil {
-							t.Fatalf("par semijoin %v/%v/%v p=%d: %v",
-								probeDesc, outDesc, style, par, err)
+							t.Fatal(err)
 						}
-						assertSameColumn(t, "semijoin", want, got)
+						if !equalU64(decode(t, want), refPos) {
+							t.Fatalf("semijoin %s: differs from the nested-loop reference", ctx)
+						}
+						for _, par := range parLevels {
+							got, err := ParSemiJoin(probe, build, outDesc, style, par)
+							if err != nil {
+								t.Fatalf("par semijoin %s p=%d: %v", ctx, par, err)
+							}
+							assertSameColumn(t, "semijoin "+ctx, want, got)
+						}
 					}
 				}
 			}
@@ -202,39 +261,45 @@ func TestParallelSemiJoinEquivalence(t *testing.T) {
 }
 
 // TestParallelJoinN1Equivalence checks the dual-output N:1 join: for every
-// probe format x output format x style x parallelism degree, both stitched
-// position lists must be byte-identical to the sequential join's.
+// build-table kind x probe format x output format x style x parallelism
+// degree, both stitched position lists must be byte-identical to the
+// sequential join's, which must match the nested-loop reference.
 func TestParallelJoinN1Equivalence(t *testing.T) {
-	vals := parTestValues(parTestN)
 	// Unique build keys covering about half of the probe value domain.
 	buildVals := make([]uint64, 250)
 	for i := range buildVals {
 		buildVals[i] = uint64(2 * i)
 	}
-	for _, probeDesc := range formats.AllDescs() {
-		probe, err := formats.Compress(vals, probeDesc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, buildDesc := range []columns.FormatDesc{columns.UncomprDesc, columns.DynBPDesc} {
-			build, err := formats.Compress(buildVals, buildDesc)
+	for _, ks := range joinKeySets(t, parTestValues(parTestN), buildVals) {
+		refP, refB := nestedLoopJoin(ks.probe, ks.build)
+		for _, probeDesc := range formats.AllDescs() {
+			probe, err := formats.Compress(ks.probe, probeDesc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, outDesc := range formats.AllDescs() {
-				for _, style := range vector.Styles {
-					ctx := probeDesc.String() + "->" + outDesc.String() + "/" + style.String()
-					wantP, wantB, err := JoinN1(probe, build, outDesc, outDesc, style)
-					if err != nil {
-						t.Fatalf("join %s: %v", ctx, err)
-					}
-					for _, par := range parLevels {
-						gotP, gotB, err := ParJoinN1(probe, build, outDesc, outDesc, style, par)
+			for _, buildDesc := range []columns.FormatDesc{columns.UncomprDesc, columns.DynBPDesc} {
+				build, err := formats.Compress(ks.build, buildDesc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, outDesc := range formats.AllDescs() {
+					for _, style := range vector.Styles {
+						ctx := ks.name + "/" + probeDesc.String() + "->" + outDesc.String() + "/" + style.String()
+						wantP, wantB, err := JoinN1(probe, build, outDesc, outDesc, style)
 						if err != nil {
-							t.Fatalf("par join %s p=%d: %v", ctx, par, err)
+							t.Fatalf("join %s: %v", ctx, err)
 						}
-						assertSameColumn(t, "join probe pos "+ctx, wantP, gotP)
-						assertSameColumn(t, "join build pos "+ctx, wantB, gotB)
+						if !equalU64(decode(t, wantP), refP) || !equalU64(decode(t, wantB), refB) {
+							t.Fatalf("join %s: differs from the nested-loop reference", ctx)
+						}
+						for _, par := range parLevels {
+							gotP, gotB, err := ParJoinN1(probe, build, outDesc, outDesc, style, par)
+							if err != nil {
+								t.Fatalf("par join %s p=%d: %v", ctx, par, err)
+							}
+							assertSameColumn(t, "join probe pos "+ctx, wantP, gotP)
+							assertSameColumn(t, "join build pos "+ctx, wantB, gotB)
+						}
 					}
 				}
 			}
@@ -267,26 +332,31 @@ func TestParallelJoinN1Skewed(t *testing.T) {
 		name       string
 		matchFirst bool
 	}{{"all_match_then_none", true}, {"none_then_all_match", false}} {
-		probeVals := mkProbe(skew.matchFirst)
-		for _, probeDesc := range formats.AllDescs() {
-			probe, err := formats.Compress(probeVals, probeDesc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			build := columns.FromValues(buildVals)
-			for _, outDesc := range []columns.FormatDesc{columns.UncomprDesc, columns.StaticBPDesc(0), columns.DeltaBPDesc} {
-				ctx := skew.name + "/" + probeDesc.String() + "->" + outDesc.String()
-				wantP, wantB, err := JoinN1(probe, build, outDesc, outDesc, vector.Vec512)
+		for _, ks := range joinKeySets(t, mkProbe(skew.matchFirst), buildVals) {
+			refP, refB := nestedLoopJoin(ks.probe, ks.build)
+			for _, probeDesc := range formats.AllDescs() {
+				probe, err := formats.Compress(ks.probe, probeDesc)
 				if err != nil {
-					t.Fatalf("%s: %v", ctx, err)
+					t.Fatal(err)
 				}
-				for _, par := range parLevels {
-					gotP, gotB, err := ParJoinN1(probe, build, outDesc, outDesc, vector.Vec512, par)
+				build := columns.FromValues(ks.build)
+				for _, outDesc := range []columns.FormatDesc{columns.UncomprDesc, columns.StaticBPDesc(0), columns.DeltaBPDesc} {
+					ctx := skew.name + "/" + ks.name + "/" + probeDesc.String() + "->" + outDesc.String()
+					wantP, wantB, err := JoinN1(probe, build, outDesc, outDesc, vector.Vec512)
 					if err != nil {
-						t.Fatalf("%s p=%d: %v", ctx, par, err)
+						t.Fatalf("%s: %v", ctx, err)
 					}
-					assertSameColumn(t, "skew join probe pos "+ctx, wantP, gotP)
-					assertSameColumn(t, "skew join build pos "+ctx, wantB, gotB)
+					if !equalU64(decode(t, wantP), refP) || !equalU64(decode(t, wantB), refB) {
+						t.Fatalf("%s: differs from the nested-loop reference", ctx)
+					}
+					for _, par := range parLevels {
+						gotP, gotB, err := ParJoinN1(probe, build, outDesc, outDesc, vector.Vec512, par)
+						if err != nil {
+							t.Fatalf("%s p=%d: %v", ctx, par, err)
+						}
+						assertSameColumn(t, "skew join probe pos "+ctx, wantP, gotP)
+						assertSameColumn(t, "skew join build pos "+ctx, wantB, gotB)
+					}
 				}
 			}
 		}

@@ -209,7 +209,9 @@ func ParProject(data, pos *Column, out FormatDesc, style Style, par int) (*Colum
 }
 
 // ParSemiJoin emits probe positions whose key occurs in build, probing the
-// shared build-side hash table from par workers.
+// shared build-side table from par workers. The table is direct-address
+// when the build keys are dense (fewer than 2^32-1 rows and
+// hi-lo < max(4n, 2^18)) and hashed otherwise.
 //
 // Deprecated: Use Engine.SemiJoin with WithParallelism(par).
 func ParSemiJoin(probe, build *Column, out FormatDesc, style Style, par int) (*Column, error) {
@@ -233,9 +235,11 @@ func JoinN1(probe, build *Column, outProbe, outBuild FormatDesc, style Style) (p
 	return ops.JoinN1(probe, build, outProbe, outBuild, style)
 }
 
-// ParJoinN1 is the morsel-parallel form of JoinN1: the build-side hash table
-// is built once and probed from par workers; both position outputs are
-// byte-identical to JoinN1 at every par.
+// ParJoinN1 is the morsel-parallel form of JoinN1: the build-side table is
+// built once and probed from par workers; both position outputs are
+// byte-identical to JoinN1 at every par. The table is direct-address when
+// the build keys are dense (fewer than 2^32-1 rows and
+// hi-lo < max(4n, 2^18)) and hashed otherwise.
 //
 // Deprecated: Use Engine.JoinN1 with WithParallelism(par).
 func ParJoinN1(probe, build *Column, outProbe, outBuild FormatDesc, style Style, par int) (probePos, buildPos *Column, err error) {
