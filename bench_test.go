@@ -128,7 +128,7 @@ func BenchmarkFigure6SimpleQuery(b *testing.B) {
 				var foot int
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res, err := core.Execute(plan, enc, c)
+					res, err := execPlan(plan, enc, c, 0)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -177,7 +177,7 @@ func runAllQueries(b *testing.B, db *core.DB, plans map[ssb.Query]*core.Plan,
 	cfg func(*core.Plan) *core.Config) int {
 	foot := 0
 	for _, q := range ssb.Queries {
-		res, err := core.Execute(plans[q], db, cfg(plans[q]))
+		res, err := execPlan(plans[q], db, cfg(plans[q]), 0)
 		if err != nil {
 			b.Fatalf("%s: %v", q, err)
 		}
@@ -252,7 +252,7 @@ func BenchmarkFigure1And9Systems(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			foot = 0
 			for _, q := range ssb.Queries {
-				res, err := core.Execute(plans[q], encs[q], assigns[q].Config(vector.Vec512, true))
+				res, err := execPlan(plans[q], encs[q], assigns[q].Config(vector.Vec512, true), 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -284,7 +284,7 @@ func benchAssignSeries(b *testing.B, data *ssb.Data, plans map[ssb.Query]*core.P
 	for i := 0; i < b.N; i++ {
 		foot = 0
 		for _, q := range ssb.Queries {
-			res, err := core.Execute(plans[q], encs[q], assigns[q].Config(vector.Vec512, false))
+			res, err := execPlan(plans[q], encs[q], assigns[q].Config(vector.Vec512, false), 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -400,7 +400,7 @@ func BenchmarkParallelSelectDynBP(b *testing.B) {
 		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
 			b.SetBytes(int64(len(vals) * 8))
 			for i := 0; i < b.N; i++ {
-				if _, err := ops.ParSelect(col, bitutil.CmpEq, needle, columns.DeltaBPDesc, vector.Vec512, par); err != nil {
+				if _, err := ops.FixedRT(par).SelectAuto(col, bitutil.CmpEq, needle, columns.DeltaBPDesc, vector.Vec512, false); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -420,7 +420,7 @@ func BenchmarkParallelSum(b *testing.B) {
 		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
 			b.SetBytes(int64(len(vals) * 8))
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ops.ParSum(col, vector.Vec512, par); err != nil {
+				if _, _, err := ops.FixedRT(par).SumAuto(col, vector.Vec512, false); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -450,7 +450,7 @@ func BenchmarkParallelJoinN1(b *testing.B) {
 		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
 			b.SetBytes(int64(len(vals) * 8))
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ops.ParJoinN1(probe, build, columns.DeltaBPDesc, columns.DynBPDesc, vector.Vec512, par); err != nil {
+				if _, _, err := ops.FixedRT(par).JoinN1(probe, build, columns.DeltaBPDesc, columns.DynBPDesc, vector.Vec512); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -473,7 +473,7 @@ func BenchmarkParallelCalc(b *testing.B) {
 		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
 			b.SetBytes(int64(benchMicroN * 8))
 			for i := 0; i < b.N; i++ {
-				if _, err := ops.ParCalcBinary(ops.CalcMul, a, c, columns.DynBPDesc, vector.Vec512, par); err != nil {
+				if _, err := ops.FixedRT(par).CalcBinary(ops.CalcMul, a, c, columns.DynBPDesc, vector.Vec512); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -501,7 +501,7 @@ func BenchmarkParallelSumGrouped(b *testing.B) {
 		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
 			b.SetBytes(int64(benchMicroN * 8))
 			for i := 0; i < b.N; i++ {
-				if _, err := ops.ParSumGrouped(gids, vals, nGroups, vector.Vec512, par); err != nil {
+				if _, err := ops.FixedRT(par).SumGrouped(gids, vals, nGroups, vector.Vec512); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -524,7 +524,7 @@ func dynBPBaseAssign(p *core.Plan) map[string]columns.FormatDesc {
 }
 
 // BenchmarkParallelSSBQ11 runs the select-heavy SSB Q1.1 over
-// DynBP-compressed base columns at increasing Config.Parallelism. This is
+// DynBP-compressed base columns at increasing engine parallelism. This is
 // the headline morsel-parallelism measurement: on a >=4-core host, par4
 // should run >= 2x faster than par1 while producing byte-identical results
 // (TestExecuteParallelismEquivalence proves the identity).
@@ -538,9 +538,8 @@ func BenchmarkParallelSSBQ11(b *testing.B) {
 	for _, par := range benchParLevels {
 		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
 			cfg := core.UncompressedConfig(vector.Vec512)
-			cfg.Parallelism = par
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Execute(plan, enc, cfg); err != nil {
+				if _, err := execPlan(plan, enc, cfg, par); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -561,9 +560,8 @@ func BenchmarkParallelSSBQ41(b *testing.B) {
 	for _, par := range benchParLevels {
 		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
 			cfg := core.UncompressedConfig(vector.Vec512)
-			cfg.Parallelism = par
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Execute(plan, enc, cfg); err != nil {
+				if _, err := execPlan(plan, enc, cfg, par); err != nil {
 					b.Fatal(err)
 				}
 			}

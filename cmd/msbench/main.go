@@ -332,42 +332,42 @@ func run(b *bench, n int, seed int64, repeats, par int, tracePath string) error 
 	levels = append(levels, par) // always measure the requested maximum
 	for _, p := range levels {
 		tp, err := minTime(repeats, func() error {
-			_, err := ops.ParSelect(dynCol, bitutil.CmpEq, needle, columns.DeltaBPDesc, vector.Vec512, p)
+			_, err := ops.FixedRT(p).SelectAuto(dynCol, bitutil.CmpEq, needle, columns.DeltaBPDesc, vector.Vec512, false)
 			return err
 		})
 		if err != nil {
 			return err
 		}
 		tsum, err := minTime(repeats, func() error {
-			_, _, err := ops.ParSum(dynCol, vector.Vec512, p)
+			_, _, err := ops.FixedRT(p).SumAuto(dynCol, vector.Vec512, false)
 			return err
 		})
 		if err != nil {
 			return err
 		}
 		tjoin, err := minTime(repeats, func() error {
-			_, _, err := ops.ParJoinN1(probeCol, buildCol, columns.DeltaBPDesc, columns.DynBPDesc, vector.Vec512, p)
+			_, _, err := ops.FixedRT(p).JoinN1(probeCol, buildCol, columns.DeltaBPDesc, columns.DynBPDesc, vector.Vec512)
 			return err
 		})
 		if err != nil {
 			return err
 		}
 		tjoinSparse, err := minTime(repeats, func() error {
-			_, _, err := ops.ParJoinN1(sparseProbeCol, sparseBuildCol, columns.DeltaBPDesc, columns.DynBPDesc, vector.Vec512, p)
+			_, _, err := ops.FixedRT(p).JoinN1(sparseProbeCol, sparseBuildCol, columns.DeltaBPDesc, columns.DynBPDesc, vector.Vec512)
 			return err
 		})
 		if err != nil {
 			return err
 		}
 		tcalc, err := minTime(repeats, func() error {
-			_, err := ops.ParCalcBinary(ops.CalcMul, dynCol, calcCol, columns.DynBPDesc, vector.Vec512, p)
+			_, err := ops.FixedRT(p).CalcBinary(ops.CalcMul, dynCol, calcCol, columns.DynBPDesc, vector.Vec512)
 			return err
 		})
 		if err != nil {
 			return err
 		}
 		tgsum, err := minTime(repeats, func() error {
-			_, err := ops.ParSumGrouped(gidCol, dynCol, nGroups, vector.Vec512, p)
+			_, err := ops.FixedRT(p).SumGrouped(gidCol, dynCol, nGroups, vector.Vec512)
 			return err
 		})
 		if err != nil {
@@ -394,14 +394,14 @@ func run(b *bench, n int, seed int64, repeats, par int, tracePath string) error 
 	}
 	for _, p := range levels {
 		tgf, err := minTime(repeats, func() error {
-			_, _, err := ops.ParGroupFirst(gidCol, columns.DynBPDesc, columns.UncomprDesc, vector.Vec512, p)
+			_, _, err := ops.FixedRT(p).GroupFirst(gidCol, columns.DynBPDesc, columns.UncomprDesc, vector.Vec512)
 			return err
 		})
 		if err != nil {
 			return err
 		}
 		tgn, err := minTime(repeats, func() error {
-			_, _, err := ops.ParGroupNext(gids1, probeCol, columns.DynBPDesc, columns.UncomprDesc, vector.Vec512, p)
+			_, _, err := ops.FixedRT(p).GroupNext(gids1, probeCol, columns.DynBPDesc, columns.UncomprDesc, vector.Vec512)
 			return err
 		})
 		if err != nil {
@@ -436,14 +436,14 @@ func run(b *bench, n int, seed int64, repeats, par int, tracePath string) error 
 	nSet := len(setA) + len(setB) // elements touched per run
 	for _, p := range levels {
 		ti, err := minTime(repeats, func() error {
-			_, err := ops.ParIntersect(setACol, setBCol, columns.DeltaBPDesc, p)
+			_, err := ops.FixedRT(p).Intersect(setACol, setBCol, columns.DeltaBPDesc)
 			return err
 		})
 		if err != nil {
 			return err
 		}
 		tu, err := minTime(repeats, func() error {
-			_, err := ops.ParMerge(setACol, setBCol, columns.DeltaBPDesc, p)
+			_, err := ops.FixedRT(p).Merge(setACol, setBCol, columns.DeltaBPDesc)
 			return err
 		})
 		if err != nil {

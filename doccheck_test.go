@@ -16,24 +16,75 @@ import (
 // with zero dependencies): every exported top-level identifier of the gated
 // packages must carry a doc comment, so that `go doc` on each reads as a
 // complete reference. Methods are exempt (the type's doc carries the
-// contract). CI runs this test as an explicit step; see
-// .github/workflows/ci.yml.
+// contract). CI runs this test and TestNoDeprecatedSymbols as an explicit
+// step; see .github/workflows/ci.yml.
 func TestExportedSymbolsDocumented(t *testing.T) {
-	// The gated packages: the public root plus the internals the
-	// observability and execution layers span.
-	dirs := []string{".", "internal/metrics", "internal/ops", "internal/core", "internal/qerr", "internal/delta", "internal/dict", "internal/ingest"}
 	var missing []string
-	for _, dir := range dirs {
-		missing = append(missing, undocumentedIn(t, dir)...)
+	for _, dir := range docGatedDirs {
+		forEachExported(t, dir, func(pos, what, name string, method bool, docs ...*ast.CommentGroup) {
+			if method {
+				return
+			}
+			for _, d := range docs {
+				if d != nil {
+					return
+				}
+			}
+			missing = append(missing, pos+": "+what+" "+name)
+		})
 	}
 	if len(missing) > 0 {
 		t.Errorf("exported identifiers without doc comments:\n  %s", strings.Join(missing, "\n  "))
 	}
 }
 
-// undocumentedIn parses one package directory and returns a report line for
-// every exported top-level identifier lacking a doc comment.
-func undocumentedIn(t *testing.T, dir string) []string {
+// TestNoDeprecatedSymbols keeps the gated packages free of deprecated
+// surface: an exported identifier (methods included) whose doc carries a
+// "Deprecated:" paragraph fails the gate. Each operation has one supported
+// form; a superseded form is deleted together with its callers, not kept as
+// a wrapper.
+func TestNoDeprecatedSymbols(t *testing.T) {
+	var deprecated []string
+	for _, dir := range docGatedDirs {
+		forEachExported(t, dir, func(pos, what, name string, _ bool, docs ...*ast.CommentGroup) {
+			for _, d := range docs {
+				if hasDeprecatedParagraph(d) {
+					deprecated = append(deprecated, pos+": "+what+" "+name)
+					return
+				}
+			}
+		})
+	}
+	if len(deprecated) > 0 {
+		t.Errorf("exported identifiers marked Deprecated:\n  %s", strings.Join(deprecated, "\n  "))
+	}
+}
+
+// docGatedDirs are the packages the doc gates cover: the public root plus
+// the internals the observability and execution layers span.
+var docGatedDirs = []string{".", "internal/metrics", "internal/ops", "internal/core", "internal/qerr", "internal/delta", "internal/dict", "internal/ingest"}
+
+// hasDeprecatedParagraph reports whether a doc comment holds a paragraph
+// starting with "Deprecated:" (the Go convention go doc and gopls honour).
+func hasDeprecatedParagraph(doc *ast.CommentGroup) bool {
+	if doc == nil {
+		return false
+	}
+	for _, para := range strings.Split(doc.Text(), "\n\n") {
+		if strings.HasPrefix(strings.TrimSpace(para), "Deprecated:") {
+			return true
+		}
+	}
+	return false
+}
+
+// forEachExported parses one package directory (tests excluded) and calls
+// visit for every exported top-level identifier and every exported method,
+// with the doc comments that may document it: the declaration's doc, and
+// for type and value specs the spec's own doc and line comment (for a
+// grouped const/var block the declaration doc is the block comment — the Go
+// convention for enum lists).
+func forEachExported(t *testing.T, dir string, visit func(pos, what, name string, method bool, docs ...*ast.CommentGroup)) {
 	t.Helper()
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
@@ -50,16 +101,13 @@ func undocumentedIn(t *testing.T, dir string) []string {
 	if !ok {
 		t.Fatalf("package %s not found in %s", want, dir)
 	}
-	var missing []string
-	report := func(pos token.Pos, what, name string) {
-		missing = append(missing, fset.Position(pos).String()+": "+what+" "+name)
-	}
+	at := func(p token.Pos) string { return fset.Position(p).String() }
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
-				if d.Recv == nil && d.Name.IsExported() && d.Doc == nil {
-					report(d.Pos(), "func", d.Name.Name)
+				if d.Name.IsExported() {
+					visit(at(d.Pos()), "func", d.Name.Name, d.Recv != nil, d.Doc)
 				}
 			case *ast.GenDecl:
 				if d.Tok == token.IMPORT {
@@ -68,20 +116,13 @@ func undocumentedIn(t *testing.T, dir string) []string {
 				for _, spec := range d.Specs {
 					switch s := spec.(type) {
 					case *ast.TypeSpec:
-						if s.Name.IsExported() && d.Doc == nil && s.Doc == nil {
-							report(s.Pos(), "type", s.Name.Name)
+						if s.Name.IsExported() {
+							visit(at(s.Pos()), "type", s.Name.Name, false, d.Doc, s.Doc)
 						}
 					case *ast.ValueSpec:
-						// A const/var is documented by its declaration's doc
-						// (which for a grouped block is the block comment —
-						// the Go convention for enum lists) or per spec (doc
-						// or line comment).
-						if d.Doc != nil || s.Doc != nil || s.Comment != nil {
-							continue
-						}
 						for _, name := range s.Names {
 							if name.IsExported() {
-								report(name.Pos(), "const/var", name.Name)
+								visit(at(name.Pos()), "const/var", name.Name, false, d.Doc, s.Doc, s.Comment)
 							}
 						}
 					}
@@ -89,5 +130,4 @@ func undocumentedIn(t *testing.T, dir string) []string {
 			}
 		}
 	}
-	return missing
 }

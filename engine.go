@@ -20,14 +20,13 @@
 // and the running morsel loops within one morsel.
 //
 // The engine also offers every operator as a one-off call under the same
-// budget, replacing the positional (out, style, par) parameter tails with
-// functional options:
+// budget, with output formats, style and parallelism as functional options:
 //
 //	pos, err := eng.Select(ctx, col, morphstore.CmpGt, 3,
 //		morphstore.WithOutput(morphstore.DeltaBP))
 //
-// The free functions of the original facade (Select, Project, Execute, …)
-// remain as deprecated thin wrappers over the same kernels.
+// A one-off call and a prepared plan are the only two ways to run an
+// operator; both go through the same morsel-parallel drivers.
 package morphstore
 
 import (
@@ -167,9 +166,8 @@ func WithUniformFormat(d FormatDesc) Option { return core.WithUniformFormat(d) }
 // Prepare.
 func WithCostBasedFormats() Option { return core.WithCostBasedFormats() }
 
-// WithConfig adopts a legacy Config (formats, style, specialized,
-// AutoMorph, Keep). Applies to Prepare; it is the migration bridge from the
-// deprecated Execute.
+// WithConfig adopts a Config (intermediate formats, style, specialized,
+// AutoMorph, Keep) as one block of prepare-time choices. Applies to Prepare.
 func WithConfig(cfg *Config) Option { return core.WithConfig(cfg) }
 
 // WithOutput sets the output format of a one-off operator call (every

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -11,6 +12,16 @@ import (
 	"morphstore/internal/ops"
 	"morphstore/internal/vector"
 )
+
+// execPlan prepares p on a fresh engine over db at parallelism par (0 = the
+// engine default) under cfg and executes it once.
+func execPlan(p *Plan, db *DB, cfg *Config, par int) (*Result, error) {
+	pr, err := NewEngine(db, WithParallelism(par)).Prepare(p, WithConfig(cfg))
+	if err != nil {
+		return nil, err
+	}
+	return pr.Execute(context.Background())
+}
 
 // simpleQueryPlan builds SELECT SUM(Y) FROM R WHERE X = c (the paper's §5.1
 // simple query): select on X -> project Y -> sum.
@@ -64,7 +75,7 @@ func TestSimpleQueryAllConfigs(t *testing.T) {
 		"forbp":               UniformConfig(p, columns.ForBPDesc, vector.Vec512),
 	}
 	for name, cfg := range configs {
-		res, err := Execute(p, db, cfg)
+		res, err := execPlan(p, db, cfg, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -97,7 +108,7 @@ func TestSpecializedMatchesGeneric(t *testing.T) {
 	for _, specialized := range []bool{false, true} {
 		cfg := UniformConfig(p, columns.DeltaBPDesc, vector.Vec512)
 		cfg.Specialized = specialized
-		res, err := Execute(p, encoded, cfg)
+		res, err := execPlan(p, encoded, cfg, 0)
 		if err != nil {
 			t.Fatalf("specialized=%v: %v", specialized, err)
 		}
@@ -112,7 +123,7 @@ func TestCompressedFootprintSmaller(t *testing.T) {
 	db, _ := simpleDB(50000, 3)
 	p := simpleQueryPlan(t, 7)
 
-	resU, err := Execute(p, db, UncompressedConfig(vector.Vec512))
+	resU, err := execPlan(p, db, UncompressedConfig(vector.Vec512), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +134,7 @@ func TestCompressedFootprintSmaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resC, err := Execute(p, encoded, UniformConfig(p, columns.DynBPDesc, vector.Vec512))
+	resC, err := execPlan(p, encoded, UniformConfig(p, columns.DynBPDesc, vector.Vec512), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,12 +161,12 @@ func TestRandomAccessRestriction(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := UncompressedConfig(vector.Scalar)
-	if _, err := Execute(p, encoded, cfg); err == nil {
+	if _, err := execPlan(p, encoded, cfg, 0); err == nil {
 		t.Fatal("project on DynBP data must fail without AutoMorph")
 	}
 	// With AutoMorph the executor inserts an on-the-fly morph.
 	cfg.AutoMorph = true
-	res, err := Execute(p, encoded, cfg)
+	res, err := execPlan(p, encoded, cfg, 0)
 	if err != nil {
 		t.Fatalf("AutoMorph execution failed: %v", err)
 	}
@@ -184,7 +195,7 @@ func TestResultMustStayUncompressed(t *testing.T) {
 	p := simpleQueryPlan(t, 7)
 	cfg := UncompressedConfig(vector.Scalar)
 	cfg.Inter["total"] = columns.DynBPDesc
-	if _, err := Execute(p, db, cfg); err == nil ||
+	if _, err := execPlan(p, db, cfg, 0); err == nil ||
 		!strings.Contains(err.Error(), "uncompressed") {
 		t.Fatalf("compressed result column must be rejected, got %v", err)
 	}
@@ -231,7 +242,7 @@ func TestUnknownTableColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Execute(p, db, nil); err == nil {
+	if _, err := execPlan(p, db, nil, 0); err == nil {
 		t.Error("unknown table must fail")
 	}
 }
@@ -271,7 +282,7 @@ func TestGroupedQueryPlan(t *testing.T) {
 		if cfgName == "compressed" {
 			cfg = UniformConfig(p, columns.DynBPDesc, vector.Vec512)
 		}
-		res, err := Execute(p, db, cfg)
+		res, err := execPlan(p, db, cfg, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", cfgName, err)
 		}
@@ -304,7 +315,7 @@ func TestFootprintSearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Execute(p, enc, a.Config(vector.Vec512, false))
+		res, err := execPlan(p, enc, a.Config(vector.Vec512, false), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,7 +358,7 @@ func TestCostBasedAssignmentNearOptimal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Execute(p, enc, a.Config(vector.Scalar, false))
+		res, err := execPlan(p, enc, a.Config(vector.Scalar, false), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,7 +382,7 @@ func TestRuntimeGreedySearchRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(p, enc, a.Config(vector.Vec512, false))
+	res, err := execPlan(p, enc, a.Config(vector.Vec512, false), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +405,7 @@ func TestUniformConfigRespectsRandomAccess(t *testing.T) {
 func TestPerOpRuntimes(t *testing.T) {
 	db, _ := simpleDB(20000, 9)
 	p := simpleQueryPlan(t, 7)
-	res, err := Execute(p, db, UncompressedConfig(vector.Scalar))
+	res, err := execPlan(p, db, UncompressedConfig(vector.Scalar), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +433,7 @@ func TestCalcThroughEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(p, db, UncompressedConfig(vector.Vec512))
+	res, err := execPlan(p, db, UncompressedConfig(vector.Vec512), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -277,9 +277,8 @@ func WithCostBasedFormats() Option {
 	}}
 }
 
-// WithConfig adopts a legacy Config (formats, style, specialized, AutoMorph,
-// Keep; Parallelism is ignored here — set it at NewEngine or Execute).
-// Applies to Prepare; it is the bridge the deprecated free functions use.
+// WithConfig adopts a Config (intermediate formats, style, specialized,
+// AutoMorph, Keep) as one block of prepare-time choices. Applies to Prepare.
 func WithConfig(cfg *Config) Option {
 	return Option{name: "WithConfig", scope: scopePrepare, apply: func(o *options) {
 		if cfg == nil {

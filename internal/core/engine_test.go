@@ -17,9 +17,10 @@ import (
 	"morphstore/internal/vector"
 )
 
-// TestEnginePreparedMatchesLegacy: engine.Prepare + Execute(ctx) must
-// produce columns byte-identical to the legacy core.Execute path at every
-// parallelism level, for uncompressed and compressed configurations.
+// TestEnginePreparedMatchesLegacy: a plan prepared with functional options
+// on an engine of any parallelism must produce columns byte-identical to the
+// same plan prepared from the legacy Config form (WithConfig) on a
+// sequential engine, for uncompressed and compressed configurations.
 func TestEnginePreparedMatchesLegacy(t *testing.T) {
 	db := buildParTestDB(t)
 	plan := buildParTestPlan(t)
@@ -34,9 +35,7 @@ func TestEnginePreparedMatchesLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, desc := range []columns.FormatDesc{columns.UncomprDesc, columns.DynBPDesc, columns.DeltaBPDesc} {
-		cfg := UniformConfig(plan, desc, vector.Vec512)
-		cfg.Parallelism = 1
-		want, err := Execute(plan, enc, cfg)
+		want, err := execPlan(plan, enc, UniformConfig(plan, desc, vector.Vec512), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +70,7 @@ func TestEnginePreparedMatchesLegacy(t *testing.T) {
 func TestEngineConcurrentExecutes(t *testing.T) {
 	db := buildParTestDB(t)
 	plan := buildParTestPlan(t)
-	seqRef, err := Execute(plan, db, &Config{Inter: map[string]columns.FormatDesc{}, Style: vector.Vec512, Parallelism: 1})
+	seqRef, err := execPlan(plan, db, &Config{Inter: map[string]columns.FormatDesc{}, Style: vector.Vec512}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +431,7 @@ func TestEngineFormatResolution(t *testing.T) {
 	if len(prc.Formats()) == 0 {
 		t.Fatal("cost-based preparation bound no formats")
 	}
-	want, err := Execute(plan, db, &Config{Inter: map[string]columns.FormatDesc{}, Parallelism: 1})
+	want, err := execPlan(plan, db, &Config{Inter: map[string]columns.FormatDesc{}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,18 +444,22 @@ func TestEngineFormatResolution(t *testing.T) {
 	}
 }
 
-// TestEngineOneOffOps: the engine's ad-hoc operator calls match the legacy
-// positional free functions byte for byte.
+// TestEngineOneOffOps: every one of the engine's ad-hoc operator calls
+// matches the sequential operator byte for byte, run sequentially and
+// morsel-parallel.
 func TestEngineOneOffOps(t *testing.T) {
 	n := 20*512 + 71
 	a := make([]uint64, n)
 	bvals := make([]uint64, n)
+	gids := make([]uint64, n)
 	for i := range a {
 		a[i] = uint64(i % 251)
 		bvals[i] = uint64((i * 7) % 509)
+		gids[i] = uint64(i % 16)
 	}
 	colA := columns.FromValues(a)
 	colB := columns.FromValues(bvals)
+	colG := columns.FromValues(gids)
 	dynA, err := formats.Compress(a, columns.DynBPDesc)
 	if err != nil {
 		t.Fatal(err)
@@ -466,136 +469,79 @@ func TestEngineOneOffOps(t *testing.T) {
 		build[i] = uint64(i)
 	}
 	colBuild := columns.FromValues(build)
-	e := NewEngine(nil, WithParallelism(3), WithStyle(vector.Vec512))
-	ctx := context.Background()
-
-	wantSel, err := ops.ParSelect(dynA, bitutil.CmpLt, 100, columns.DeltaBPDesc, vector.Vec512, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotSel, err := e.Select(ctx, dynA, bitutil.CmpLt, 100, WithOutput(columns.DeltaBPDesc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameColumns(t, "select", wantSel, gotSel)
-
-	wantBet, err := ops.ParSelectBetween(dynA, 10, 90, columns.DeltaBPDesc, vector.Vec512, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotBet, err := e.SelectBetween(ctx, dynA, 10, 90, WithOutput(columns.DeltaBPDesc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameColumns(t, "between", wantBet, gotBet)
-
-	wantProj, err := ops.ParProject(colA, wantSel, columns.DynBPDesc, vector.Vec512, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotProj, err := e.Project(ctx, colA, gotSel, WithOutput(columns.DynBPDesc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameColumns(t, "project", wantProj, gotProj)
-
-	wantSum, _, err := ops.ParSum(dynA, vector.Vec512, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotSum, err := e.Sum(ctx, dynA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotSum != wantSum {
-		t.Fatalf("sum = %d, want %d", gotSum, wantSum)
+	must := func(c *columns.Column, err error) *columns.Column {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
 
-	wantSemi, err := ops.ParSemiJoin(colA, colBuild, columns.DeltaBPDesc, vector.Vec512, 3)
+	// Sequential references.
+	wantSel := must(ops.Select(dynA, bitutil.CmpLt, 100, columns.DeltaBPDesc, vector.Vec512))
+	wantBet := must(ops.SelectBetween(dynA, 10, 90, columns.DeltaBPDesc, vector.Vec512))
+	wantProj := must(ops.Project(colA, wantSel, columns.DynBPDesc, vector.Vec512))
+	wantSum, _, err := ops.SumWhole(dynA, vector.Vec512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotSemi, err := e.SemiJoin(ctx, colA, colBuild, WithOutput(columns.DeltaBPDesc))
+	wantSemi := must(ops.SemiJoin(colA, colBuild, columns.DeltaBPDesc, vector.Vec512))
+	wantJP, wantJB, err := ops.JoinN1(colA, colBuild, columns.DeltaBPDesc, columns.DynBPDesc, vector.Vec512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameColumns(t, "semijoin", wantSemi, gotSemi)
-
-	wantJP, wantJB, err := ops.ParJoinN1(colA, colBuild, columns.DeltaBPDesc, columns.DynBPDesc, vector.Vec512, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotJP, gotJB, err := e.JoinN1(ctx, colA, colBuild, WithOutputs(columns.DeltaBPDesc, columns.DynBPDesc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameColumns(t, "join probe", wantJP, gotJP)
-	sameColumns(t, "join build", wantJB, gotJB)
-
-	wantCalc, err := ops.ParCalcBinary(ops.CalcMul, colA, colB, columns.DynBPDesc, vector.Vec512, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotCalc, err := e.Calc(ctx, ops.CalcMul, colA, colB, WithOutput(columns.DynBPDesc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameColumns(t, "calc", wantCalc, gotCalc)
-
-	gids := make([]uint64, n)
-	for i := range gids {
-		gids[i] = uint64(i % 16)
-	}
-	colG := columns.FromValues(gids)
-	wantGS, err := ops.ParSumGrouped(colG, colA, 16, vector.Vec512, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotGS, err := e.SumGrouped(ctx, colG, colA, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameColumns(t, "sum grouped", wantGS, gotGS)
-
-	wantI, err := ops.IntersectSorted(wantSel, wantBet, columns.DeltaBPDesc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotI, err := e.Intersect(ctx, gotSel, gotBet, WithOutput(columns.DeltaBPDesc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameColumns(t, "intersect", wantI, gotI)
-
-	wantU, err := ops.MergeSorted(wantSel, wantBet, columns.DeltaBPDesc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotU, err := e.Union(ctx, gotSel, gotBet, WithOutput(columns.DeltaBPDesc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameColumns(t, "union", wantU, gotU)
-
+	wantCalc := must(ops.CalcBinary(ops.CalcMul, colA, colB, columns.DynBPDesc, vector.Vec512))
+	wantGS := must(ops.SumGrouped(colG, colA, 16, vector.Vec512))
+	wantI := must(ops.IntersectSorted(wantSel, wantBet, columns.DeltaBPDesc))
+	wantU := must(ops.MergeSorted(wantSel, wantBet, columns.DeltaBPDesc))
 	wantGF, wantGFE, err := ops.GroupFirst(colG, columns.DynBPDesc, columns.DeltaBPDesc, vector.Vec512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotGF, gotGFE, err := e.GroupFirst(ctx, colG, WithOutputs(columns.DynBPDesc, columns.DeltaBPDesc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameColumns(t, "group first gids", wantGF, gotGF)
-	sameColumns(t, "group first extents", wantGFE, gotGFE)
-
 	wantGN, wantGNE, err := ops.GroupNext(wantGF, colB, columns.DynBPDesc, columns.UncomprDesc, vector.Vec512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotGN, gotGNE, err := e.GroupNext(ctx, gotGF, colB, WithOutputs(columns.DynBPDesc, columns.UncomprDesc))
-	if err != nil {
-		t.Fatal(err)
+
+	ctx := context.Background()
+	for _, par := range []int{1, 4} {
+		e := NewEngine(nil, WithParallelism(par), WithStyle(vector.Vec512))
+		name := func(op string) string { return fmt.Sprintf("par=%d %s", par, op) }
+
+		gotSel := must(e.Select(ctx, dynA, bitutil.CmpLt, 100, WithOutput(columns.DeltaBPDesc)))
+		sameColumns(t, name("select"), wantSel, gotSel)
+		gotBet := must(e.SelectBetween(ctx, dynA, 10, 90, WithOutput(columns.DeltaBPDesc)))
+		sameColumns(t, name("between"), wantBet, gotBet)
+		sameColumns(t, name("project"), wantProj, must(e.Project(ctx, colA, gotSel, WithOutput(columns.DynBPDesc))))
+		gotSum, err := e.Sum(ctx, dynA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotSum != wantSum {
+			t.Fatalf("%s = %d, want %d", name("sum"), gotSum, wantSum)
+		}
+		sameColumns(t, name("semijoin"), wantSemi, must(e.SemiJoin(ctx, colA, colBuild, WithOutput(columns.DeltaBPDesc))))
+		gotJP, gotJB, err := e.JoinN1(ctx, colA, colBuild, WithOutputs(columns.DeltaBPDesc, columns.DynBPDesc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameColumns(t, name("join probe"), wantJP, gotJP)
+		sameColumns(t, name("join build"), wantJB, gotJB)
+		sameColumns(t, name("calc"), wantCalc, must(e.Calc(ctx, ops.CalcMul, colA, colB, WithOutput(columns.DynBPDesc))))
+		sameColumns(t, name("sum grouped"), wantGS, must(e.SumGrouped(ctx, colG, colA, 16)))
+		sameColumns(t, name("intersect"), wantI, must(e.Intersect(ctx, gotSel, gotBet, WithOutput(columns.DeltaBPDesc))))
+		sameColumns(t, name("union"), wantU, must(e.Union(ctx, gotSel, gotBet, WithOutput(columns.DeltaBPDesc))))
+		gotGF, gotGFE, err := e.GroupFirst(ctx, colG, WithOutputs(columns.DynBPDesc, columns.DeltaBPDesc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameColumns(t, name("group first gids"), wantGF, gotGF)
+		sameColumns(t, name("group first extents"), wantGFE, gotGFE)
+		gotGN, gotGNE, err := e.GroupNext(ctx, gotGF, colB, WithOutputs(columns.DynBPDesc, columns.UncomprDesc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameColumns(t, name("group next gids"), wantGN, gotGN)
+		sameColumns(t, name("group next extents"), wantGNE, gotGNE)
 	}
-	sameColumns(t, "group next gids", wantGN, gotGN)
-	sameColumns(t, "group next extents", wantGNE, gotGNE)
 }

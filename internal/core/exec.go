@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -149,10 +148,11 @@ func (db *DB) Encode(base map[string]columns.FormatDesc) (*DB, error) {
 // plan (DP2: each intermediate chosen independently). Missing entries mean
 // uncompressed. Result columns are always uncompressed.
 //
-// Config is the legacy configuration carrier of the deprecated Execute
-// wrapper; the engine API expresses the same choices as functional options
-// (WithFormats, WithStyle, WithSpecialized, WithAutoMorph, WithKeep,
-// WithParallelism).
+// Prepare adopts a Config through WithConfig; the functional options
+// express the same choices individually (WithFormats, WithStyle,
+// WithSpecialized, WithAutoMorph, WithKeep). The parallelism degree is not
+// part of a Config: it is set with WithParallelism at NewEngine, Prepare or
+// Execute.
 type Config struct {
 	// Inter maps intermediate column names to formats.
 	Inter map[string]columns.FormatDesc
@@ -168,17 +168,6 @@ type Config struct {
 	// Keep retains all intermediate columns in the result (used by the
 	// format-search and cost-model tooling).
 	Keep bool
-	// Parallelism is the worker-goroutine budget: independent plan
-	// operators run concurrently on a dependency-counting scheduler, and
-	// the partitionable operator kernels (select, between, project,
-	// semijoin probe, N:1 join probe, binary calc, whole-column and grouped
-	// sum) run morsel-parallel over block-aligned sections of their input.
-	// The budget is divided among the operators running at any moment and
-	// re-divided whenever one of them finishes, so a finishing branch's
-	// workers immediately flow to the survivors. 0 means GOMAXPROCS; 1
-	// reproduces the sequential operator-at-a-time execution exactly.
-	// Results are byte-identical at every parallelism level.
-	Parallelism int
 }
 
 // UncompressedConfig returns a config processing everything uncompressed.
@@ -230,26 +219,4 @@ type Result struct {
 	Inter map[string]*columns.Column
 	// Meas carries the footprint/runtime accounting.
 	Meas Measure
-}
-
-// Execute runs the plan operator-at-a-time against db under cfg by
-// preparing it on a throwaway engine. With cfg.Parallelism <= 1 the nodes
-// run sequentially in topological order; otherwise independent nodes run
-// concurrently and partitionable kernels run morsel-parallel, producing
-// byte-identical columns either way.
-//
-// Deprecated: Use NewEngine(db, ...), Engine.Prepare, and Prepared.Execute:
-// they compile the plan once, accept a context for cancellation, and share
-// one worker budget across concurrent queries. Execute remains as a thin
-// wrapper for existing call sites.
-func Execute(p *Plan, db *DB, cfg *Config) (*Result, error) {
-	if cfg == nil {
-		cfg = UncompressedConfig(vector.Scalar)
-	}
-	e := NewEngine(db, WithParallelism(cfg.Parallelism))
-	pr, err := e.Prepare(p, WithConfig(cfg))
-	if err != nil {
-		return nil, err
-	}
-	return pr.Execute(context.Background())
 }

@@ -218,18 +218,21 @@ type EngineStats struct {
 	// DeltaDeleted is the current total pending (unfolded) deletion count
 	// over all writable tables.
 	DeltaDeleted int
-	// DeltaBytes is the current total delta footprint (tail backing,
-	// deletion sets, journals) in bytes.
+	// DeltaBytes is the current total delta footprint in bytes: 8 per
+	// uncompressed tail value and 8 per pending deletion. Under
+	// WithMemoryBudget, with no deletions and no query running, it equals
+	// MemReserved: every append reserves rows×columns×8 bytes until the
+	// remorph that folds it.
 	DeltaBytes int64
 }
 
 // Stats returns a snapshot of the engine's lifetime query counters, current
 // budget utilization, and admission/governor state. Counters cover
-// Prepared.Execute calls (the deprecated one-off operator methods lease
-// budget — visible in the lease counters — but are not counted as queries).
-// Safe for concurrent use; the counter groups are snapshotted individually,
-// so a snapshot taken while queries run is approximate across groups but
-// each field is exact.
+// Prepared.Execute calls (the one-off operator calls lease budget — visible
+// in the lease counters — but are not counted as queries). Safe for
+// concurrent use; the counter groups are snapshotted individually, so a
+// snapshot taken while queries run is approximate across groups but each
+// field is exact.
 func (e *Engine) Stats() EngineStats {
 	adm := e.adm.counters()
 	mem := e.gov.Counters()
@@ -241,7 +244,7 @@ func (e *Engine) Stats() EngineStats {
 		dTables++
 		dRows += st.TailRows()
 		dDel += st.DeletedRows()
-		dBytes += wt.dt.DeltaBytes()
+		dBytes += st.DeltaBytes()
 	}
 	e.wmu.Unlock()
 	return EngineStats{

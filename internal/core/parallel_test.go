@@ -125,19 +125,15 @@ func TestExecuteParallelismEquivalence(t *testing.T) {
 		for _, interDesc := range interDescs {
 			for _, style := range vector.Styles {
 				name := fmt.Sprintf("%s/%v/%v", dbCase.name, interDesc, style)
-				mkCfg := func(par int) *Config {
-					cfg := UniformConfig(plan, interDesc, style)
-					cfg.Keep = true
-					cfg.Parallelism = par
-					return cfg
-				}
-				want, err := Execute(plan, dbCase.db, mkCfg(1))
+				cfg := UniformConfig(plan, interDesc, style)
+				cfg.Keep = true
+				want, err := execPlan(plan, dbCase.db, cfg, 1)
 				if err != nil {
 					t.Fatalf("%s: sequential: %v", name, err)
 				}
 				// 10*512+300 fact elements span 11 blocks; 12 over-subscribes.
 				for _, par := range []int{2, 3, 8, 12} {
-					got, err := Execute(plan, dbCase.db, mkCfg(par))
+					got, err := execPlan(plan, dbCase.db, cfg, par)
 					if err != nil {
 						t.Fatalf("%s p=%d: %v", name, par, err)
 					}
@@ -191,11 +187,10 @@ func TestExecuteParallelErrorPropagation(t *testing.T) {
 	}
 	for _, par := range []int{1, 4} {
 		cfg := &Config{
-			Inter:       map[string]columns.FormatDesc{"sel": columns.DynBPDesc, "sel2": columns.DynBPDesc},
-			Style:       vector.Scalar,
-			Parallelism: par,
+			Inter: map[string]columns.FormatDesc{"sel": columns.DynBPDesc, "sel2": columns.DynBPDesc},
+			Style: vector.Scalar,
 		}
-		res, err := Execute(plan, db, cfg)
+		res, err := execPlan(plan, db, cfg, par)
 		if err == nil {
 			t.Fatalf("p=%d: expected random-access error, got result %v", par, res)
 		}

@@ -15,9 +15,6 @@
 // and runtime that the paper's experiments report. Results are
 // byte-identical at every parallelism level and under any mix of
 // concurrent queries.
-//
-// The pre-engine entry points remain as deprecated wrappers: Execute runs
-// a plan under a legacy Config by preparing it on a throwaway engine.
 package core
 
 import (

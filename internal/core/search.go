@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -56,7 +57,11 @@ func Candidates(p *Plan, name string) []columns.FormatDesc {
 func materializedColumns(p *Plan, db *DB) (map[string][]uint64, error) {
 	cfg := UncompressedConfig(vector.Scalar)
 	cfg.Keep = true
-	res, err := Execute(p, db, cfg)
+	pr, err := NewEngine(db).Prepare(p, WithConfig(cfg))
+	if err != nil {
+		return nil, err
+	}
+	res, err := pr.Execute(context.Background())
 	if err != nil {
 		return nil, err
 	}
@@ -181,13 +186,15 @@ func measureRuntime(p *Plan, cache *encCache, a *Assignment, style vector.Style,
 	if err != nil {
 		return 0, err
 	}
+	// Runtime-driven format choices compare sequential operator times;
+	// concurrent execution would fold scheduler contention into them.
+	pr, err := NewEngine(dbv, WithParallelism(1)).Prepare(p, WithConfig(a.Config(style, specialized)))
+	if err != nil {
+		return 0, err
+	}
 	bestT := time.Duration(0)
 	for i := 0; i < repeats; i++ {
-		cfg := a.Config(style, specialized)
-		// Runtime-driven format choices compare sequential operator times;
-		// concurrent execution would fold scheduler contention into them.
-		cfg.Parallelism = 1
-		res, err := Execute(p, dbv, cfg)
+		res, err := pr.Execute(context.Background())
 		if err != nil {
 			return 0, err
 		}

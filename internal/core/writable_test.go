@@ -153,6 +153,62 @@ func TestWritableVisibility(t *testing.T) {
 	check("after failed appends")
 }
 
+// TestWritableDeltaBytesMatchReservation: the delta footprint Stats reports
+// is exactly the data the delta holds. With no deletions and no query
+// running it equals the governor bytes the appends reserved, each deletion
+// adds 8 bytes, and a remorph fold returns both to zero.
+func TestWritableDeltaBytesMatchReservation(t *testing.T) {
+	const mainRows = 1000
+	db := NewDB()
+	if err := db.AddTable("t", map[string][]uint64{
+		"a": make([]uint64, mainRows), "b": make([]uint64, mainRows), "c": make([]uint64, mainRows),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(db, WithMemoryBudget(1<<30))
+	defer e.Close(context.Background())
+	ctx := context.Background()
+
+	tailRows := 0
+	for _, n := range []int{1, 17, 512, 4096} {
+		batch := map[string][]uint64{"a": make([]uint64, n), "b": make([]uint64, n), "c": make([]uint64, n)}
+		for i := 0; i < n; i++ {
+			batch["a"][i], batch["b"][i], batch["c"][i] = uint64(i), uint64(2*i), uint64(3*i)
+		}
+		if err := e.Append(ctx, "t", batch); err != nil {
+			t.Fatal(err)
+		}
+		tailRows += n
+		st := e.Stats()
+		if want := int64(tailRows * 3 * 8); st.MemReserved != want {
+			t.Fatalf("after %d tail rows: governor reserved %d bytes, want %d", tailRows, st.MemReserved, want)
+		}
+		if st.DeltaBytes != st.MemReserved {
+			t.Fatalf("after %d tail rows: DeltaBytes = %d, governor reserved %d", tailRows, st.DeltaBytes, st.MemReserved)
+		}
+	}
+
+	before := e.Stats().DeltaBytes
+	const k = 25
+	positions := make([]uint64, k)
+	for i := range positions {
+		positions[i] = uint64(i * 211) // distinct, across main and tail
+	}
+	if err := e.Delete(ctx, "t", positions); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Stats().DeltaBytes; got != before+8*k {
+		t.Fatalf("after %d deletes: DeltaBytes = %d, want %d", k, got, before+8*k)
+	}
+
+	if err := e.Remorph(ctx, "t"); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.DeltaBytes != 0 || st.MemReserved != 0 {
+		t.Fatalf("after remorph: DeltaBytes = %d, governor reserved %d, want 0 and 0", st.DeltaBytes, st.MemReserved)
+	}
+}
+
 // TestWritableBackgroundRemorph checks the WithRemorph worker folds a
 // crossed-threshold delta on its own and Close stops it cleanly.
 func TestWritableBackgroundRemorph(t *testing.T) {

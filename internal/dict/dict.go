@@ -11,11 +11,10 @@
 // under the engine's coherence locks — after it, IDs are in lexicographic
 // order and prefix predicates become contiguous ID ranges.
 //
-// Every mutation is journaled with the same FNV-checksummed record framing
-// as the delta journal (see internal/delta/log.go), so a dictionary persists
-// and replays alongside its table's delta journal with the same corruption
-// taxonomy: Replay never panics and classifies every structural defect as
-// qerr.ErrCorruptData (FuzzDictJournal drives this contract).
+// Every mutation is journaled in an FNV-checksummed record framing
+// (journal.go), so a dictionary persists and replays under the engine's
+// corruption taxonomy: Replay never panics and classifies every structural
+// defect as qerr.ErrCorruptData (FuzzDictJournal drives this contract).
 package dict
 
 import (

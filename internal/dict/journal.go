@@ -7,12 +7,11 @@ import (
 	"morphstore/internal/qerr"
 )
 
-// This file implements the dictionary journal wire codec, sharing the delta
-// journal's record framing (internal/delta/log.go) so a dictionary persists
-// alongside its table's journal under one corruption taxonomy: every record
-// is length-prefixed and FNV-1a checksummed, the decoder never panics, never
-// allocates proportionally to an unvalidated length, and classifies every
-// structural defect as qerr.ErrCorruptData (FuzzDictJournal drives this).
+// This file implements the dictionary journal wire codec under the engine's
+// corruption taxonomy: every record is length-prefixed and FNV-1a
+// checksummed, the decoder never panics, never allocates proportionally to
+// an unvalidated length, and classifies every structural defect as
+// qerr.ErrCorruptData (FuzzDictJournal drives this).
 //
 // Record layout (little-endian):
 //

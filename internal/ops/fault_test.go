@@ -47,7 +47,7 @@ func runSelect(ctx context.Context, b *Budget, col *columns.Column) error {
 	lease := b.Lease(4)
 	defer lease.Close()
 	rt := RT(ctx, lease, 4)
-	_, err := rt.Select(col, bitutil.CmpLt, 500, columns.DeltaBPDesc, vector.Scalar)
+	_, err := rt.SelectAuto(col, bitutil.CmpLt, 500, columns.DeltaBPDesc, vector.Scalar, false)
 	return err
 }
 
@@ -187,7 +187,7 @@ func TestGroupMergeFaultPanics(t *testing.T) {
 			t.Fatal("group merge did not escalate the injected error")
 		}
 	}()
-	_, _, _ = ParGroupFirst(col, columns.UncomprDesc, columns.UncomprDesc, vector.Scalar, 4)
+	_, _, _ = FixedRT(4).GroupFirst(col, columns.UncomprDesc, columns.UncomprDesc, vector.Scalar)
 }
 
 // TestRunPartsNoGoroutineLeak runs many failing executions and checks the

@@ -142,7 +142,7 @@ func TestSeqFallbackRecorded(t *testing.T) {
 	nc := c.Node(0)
 	nc.Begin(int64(col.N()))
 	if _, err := RT(context.Background(), nil, 1).WithCollector(nc).
-		Select(col, bitutil.CmpLt, 13, columns.DynBPDesc, vector.Scalar); err != nil {
+		SelectAuto(col, bitutil.CmpLt, 13, columns.DynBPDesc, vector.Scalar, false); err != nil {
 		t.Fatal(err)
 	}
 	nc.Finish(0, nil, nil)
@@ -169,7 +169,7 @@ func TestCollectedSelectByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain, err := RT(context.Background(), nil, 4).
-		Select(col, bitutil.CmpLt, 100, columns.DeltaBPDesc, vector.Vec512)
+		SelectAuto(col, bitutil.CmpLt, 100, columns.DeltaBPDesc, vector.Vec512, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestCollectedSelectByteIdentical(t *testing.T) {
 	nc := c.Node(0)
 	nc.Begin(int64(col.N()))
 	collected, err := RT(context.Background(), nil, 4).WithCollector(nc).
-		Select(col, bitutil.CmpLt, 100, columns.DeltaBPDesc, vector.Vec512)
+		SelectAuto(col, bitutil.CmpLt, 100, columns.DeltaBPDesc, vector.Vec512, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,9 +28,10 @@ import (
 // cannot be sliced (RLE), columns too small to split, and par <= 1 all fall
 // back to the sequential operator.
 //
-// Every driver exists in two forms: a Runtime method (cancellation context +
-// engine budget lease threaded through the morsel loop — the path the engine
-// executes) and a legacy positional function wrapping FixedRT(par).
+// Every driver is a Runtime method: the runtime threads the cancellation
+// context and the engine budget lease through the morsel loop. The engine
+// builds its runtimes with RT; FixedRT(par) gives a standalone runtime with a
+// fixed worker count (benchmarks and tests).
 
 // workerCount bounds the worker-goroutine count for a task list.
 func workerCount(par, tasks int) int {
@@ -100,39 +101,13 @@ func (s *appendSink) Close() (*columns.Column, error) {
 	return columns.FromValues(s.vals), nil
 }
 
-// ParSelect is the morsel-parallel form of Select, splitting the input into
-// work-queue morsels for up to par workers. It falls back to the sequential
-// operator when the input cannot or need not be split.
-func ParSelect(in *columns.Column, op bitutil.CmpKind, val uint64, out columns.FormatDesc, style vector.Style, par int) (*columns.Column, error) {
-	return FixedRT(par).Select(in, op, val, out, style)
-}
-
-// Select is the runtime form of ParSelect.
-func (rt Runtime) Select(in *columns.Column, op bitutil.CmpKind, val uint64, out columns.FormatDesc, style vector.Style) (*columns.Column, error) {
-	if err := checkCols(in); err != nil {
-		return nil, err
-	}
-	if err := rt.Err(); err != nil {
-		return nil, err
-	}
-	parts := formats.SplitColumnMorsels(in, rt.Par())
-	if parts == nil {
-		rt.seqFallback()
-		return Select(in, op, val, out, style)
-	}
-	return rt.parSelect(in, parts, op, val, out, style)
-}
-
-// ParSelectAuto is the morsel-parallel form of SelectAuto: when the input
-// splits, it parallelizes with the specialized per-partition kernel if one
-// covers the input (static BP SWAR select on packed word ranges) and the
-// generic morsel kernels otherwise; unsplittable inputs dispatch to the
-// sequential auto operator (which may itself pick a specialized kernel).
-func ParSelectAuto(in *columns.Column, op bitutil.CmpKind, val uint64, out columns.FormatDesc, style vector.Style, specialized bool, par int) (*columns.Column, error) {
-	return FixedRT(par).SelectAuto(in, op, val, out, style, specialized)
-}
-
-// SelectAuto is the runtime form of ParSelectAuto.
+// SelectAuto is the morsel-parallel form of the sequential SelectAuto (and,
+// with specialized=false, of Select): the input is split into work-queue
+// morsels for up to rt.Par() workers. When the input splits, it parallelizes
+// with the specialized per-partition kernel if one covers the input (static
+// BP SWAR select on packed word ranges) and the generic morsel kernels
+// otherwise; unsplittable inputs dispatch to the sequential auto operator
+// (which may itself pick a specialized kernel).
 func (rt Runtime) SelectAuto(in *columns.Column, op bitutil.CmpKind, val uint64, out columns.FormatDesc, style vector.Style, specialized bool) (*columns.Column, error) {
 	if err := checkCols(in); err != nil {
 		return nil, err
@@ -173,35 +148,10 @@ func (rt Runtime) parSelect(in *columns.Column, parts []formats.Partition, op bi
 	return rt.stitchCompressed(positionDesc(out, in.N()), in.N(), results)
 }
 
-// ParSelectBetween is the morsel-parallel form of SelectBetween.
-func ParSelectBetween(in *columns.Column, lo, hi uint64, out columns.FormatDesc, style vector.Style, par int) (*columns.Column, error) {
-	return FixedRT(par).SelectBetween(in, lo, hi, out, style)
-}
-
-// SelectBetween is the runtime form of ParSelectBetween.
-func (rt Runtime) SelectBetween(in *columns.Column, lo, hi uint64, out columns.FormatDesc, style vector.Style) (*columns.Column, error) {
-	if err := checkCols(in); err != nil {
-		return nil, err
-	}
-	if err := rt.Err(); err != nil {
-		return nil, err
-	}
-	parts := formats.SplitColumnMorsels(in, rt.Par())
-	if parts == nil {
-		rt.seqFallback()
-		return SelectBetween(in, lo, hi, out, style)
-	}
-	return rt.parSelectBetween(in, parts, lo, hi, out, style)
-}
-
-// ParSelectBetweenAuto is the morsel-parallel form of SelectBetweenAuto,
+// SelectBetweenAuto is the morsel-parallel form of the sequential
+// SelectBetweenAuto (and, with specialized=false, of SelectBetween),
 // honouring the specialized SWAR range kernel inside each partition when the
 // input format admits it.
-func ParSelectBetweenAuto(in *columns.Column, lo, hi uint64, out columns.FormatDesc, style vector.Style, specialized bool, par int) (*columns.Column, error) {
-	return FixedRT(par).SelectBetweenAuto(in, lo, hi, out, style, specialized)
-}
-
-// SelectBetweenAuto is the runtime form of ParSelectBetweenAuto.
 func (rt Runtime) SelectBetweenAuto(in *columns.Column, lo, hi uint64, out columns.FormatDesc, style vector.Style, specialized bool) (*columns.Column, error) {
 	if err := checkCols(in); err != nil {
 		return nil, err
@@ -242,16 +192,11 @@ func (rt Runtime) parSelectBetween(in *columns.Column, parts []formats.Partition
 	return rt.stitchCompressed(positionDesc(out, in.N()), in.N(), results)
 }
 
-// ParProject is the morsel-parallel form of Project: the position list is
-// partitioned and every worker gathers into its own disjoint range of one
-// shared destination buffer (output offsets are known a priori because
+// Project is the morsel-parallel form of the sequential Project: the position
+// list is partitioned and every worker gathers into its own disjoint range of
+// one shared destination buffer (output offsets are known a priori because
 // project emits exactly one value per position), which the parallel
 // compressed stitch then recompresses section-wise.
-func ParProject(data, pos *columns.Column, out columns.FormatDesc, style vector.Style, par int) (*columns.Column, error) {
-	return FixedRT(par).Project(data, pos, out, style)
-}
-
-// Project is the runtime form of ParProject.
 func (rt Runtime) Project(data, pos *columns.Column, out columns.FormatDesc, style vector.Style) (*columns.Column, error) {
 	if err := checkCols(data, pos); err != nil {
 		return nil, err
@@ -307,14 +252,9 @@ func (rt Runtime) Project(data, pos *columns.Column, out columns.FormatDesc, sty
 	return rt.stitchCompressed(out, pos.N(), [][]uint64{dst})
 }
 
-// ParSemiJoin is the morsel-parallel form of SemiJoin: the build-side
-// joinTable is constructed once and probed read-only by all workers over
-// partitions of the probe column.
-func ParSemiJoin(probe, build *columns.Column, out columns.FormatDesc, style vector.Style, par int) (*columns.Column, error) {
-	return FixedRT(par).SemiJoin(probe, build, out, style)
-}
-
-// SemiJoin is the runtime form of ParSemiJoin.
+// SemiJoin is the morsel-parallel form of the sequential SemiJoin: the
+// build-side joinTable is constructed once and probed read-only by all
+// workers over partitions of the probe column.
 func (rt Runtime) SemiJoin(probe, build *columns.Column, out columns.FormatDesc, style vector.Style) (*columns.Column, error) {
 	if err := checkCols(probe, build); err != nil {
 		return nil, err
@@ -349,39 +289,13 @@ func (rt Runtime) SemiJoin(probe, build *columns.Column, out columns.FormatDesc,
 	return rt.stitchCompressed(positionDesc(out, probe.N()), probe.N(), results)
 }
 
-// ParSum is the morsel-parallel form of SumWhole: per-partition partial sums
-// combine by modular addition, which is order-independent, so the total is
-// identical to the sequential result.
-func ParSum(in *columns.Column, style vector.Style, par int) (uint64, *columns.Column, error) {
-	return FixedRT(par).Sum(in, style)
-}
-
-// Sum is the runtime form of ParSum.
-func (rt Runtime) Sum(in *columns.Column, style vector.Style) (uint64, *columns.Column, error) {
-	if err := checkCols(in); err != nil {
-		return 0, nil, err
-	}
-	if err := rt.Err(); err != nil {
-		return 0, nil, err
-	}
-	parts := formats.SplitColumnMorsels(in, rt.Par())
-	if parts == nil {
-		rt.seqFallback()
-		return SumWhole(in, style)
-	}
-	return rt.parSum(in, parts, style)
-}
-
-// ParSumAuto is the morsel-parallel form of SumAuto: when the input splits
-// and specialized operators are enabled, each partition sums directly on the
-// compressed representation (SWAR over static BP word ranges, per-block
-// accumulation over DynBP block ranges); the generic morsel kernels handle
-// the rest.
-func ParSumAuto(in *columns.Column, style vector.Style, specialized bool, par int) (uint64, *columns.Column, error) {
-	return FixedRT(par).SumAuto(in, style, specialized)
-}
-
-// SumAuto is the runtime form of ParSumAuto.
+// SumAuto is the morsel-parallel form of the sequential SumAuto (and, with
+// specialized=false, of SumWhole): per-partition partial sums combine by
+// modular addition, which is order-independent, so the total is identical to
+// the sequential result. When specialized operators are enabled, each
+// partition sums directly on the compressed representation (SWAR over static
+// BP word ranges, per-block accumulation over DynBP block ranges); the
+// generic morsel kernels handle the rest.
 func (rt Runtime) SumAuto(in *columns.Column, style vector.Style, specialized bool) (uint64, *columns.Column, error) {
 	if err := checkCols(in); err != nil {
 		return 0, nil, err
@@ -407,17 +321,12 @@ func (rt Runtime) SumAuto(in *columns.Column, style vector.Style, specialized bo
 	return rt.parSum(in, parts, style)
 }
 
-// ParJoinN1 is the morsel-parallel form of JoinN1: the build-side joinTable
-// (key -> build position) is constructed once and probed read-only by all
-// workers over partitions of the probe column. Each worker stages its two
-// aligned position outputs (probe position, joined build position) in local
-// buffers; both are stitched in partition order, so the dual outputs stay
-// aligned row for row and byte-identical to the sequential join.
-func ParJoinN1(probeKeys, buildKeys *columns.Column, outProbe, outBuild columns.FormatDesc, style vector.Style, par int) (probePos, buildPos *columns.Column, err error) {
-	return FixedRT(par).JoinN1(probeKeys, buildKeys, outProbe, outBuild, style)
-}
-
-// JoinN1 is the runtime form of ParJoinN1.
+// JoinN1 is the morsel-parallel form of the sequential JoinN1: the build-side
+// joinTable (key -> build position) is constructed once and probed read-only
+// by all workers over partitions of the probe column. Each worker stages its
+// two aligned position outputs (probe position, joined build position) in
+// local buffers; both are stitched in partition order, so the dual outputs
+// stay aligned row for row and byte-identical to the sequential join.
 func (rt Runtime) JoinN1(probeKeys, buildKeys *columns.Column, outProbe, outBuild columns.FormatDesc, style vector.Style) (probePos, buildPos *columns.Column, err error) {
 	if err := checkCols(probeKeys, buildKeys); err != nil {
 		return nil, nil, err
@@ -459,16 +368,11 @@ func (rt Runtime) JoinN1(probeKeys, buildKeys *columns.Column, outProbe, outBuil
 	return probePos, buildPos, err
 }
 
-// ParCalcBinary is the morsel-parallel form of CalcBinary: both inputs are
-// split at one set of shared block-aligned boundaries and streamed in
-// lockstep per partition. Calc emits exactly one value per element, so every
-// worker writes into its own disjoint range of one shared destination buffer,
-// which the parallel compressed stitch recompresses section-wise.
-func ParCalcBinary(op CalcKind, a, b *columns.Column, out columns.FormatDesc, style vector.Style, par int) (*columns.Column, error) {
-	return FixedRT(par).CalcBinary(op, a, b, out, style)
-}
-
-// CalcBinary is the runtime form of ParCalcBinary.
+// CalcBinary is the morsel-parallel form of the sequential CalcBinary: both
+// inputs are split at one set of shared block-aligned boundaries and streamed
+// in lockstep per partition. Calc emits exactly one value per element, so
+// every worker writes into its own disjoint range of one shared destination
+// buffer, which the parallel compressed stitch recompresses section-wise.
 func (rt Runtime) CalcBinary(op CalcKind, a, b *columns.Column, out columns.FormatDesc, style vector.Style) (*columns.Column, error) {
 	if err := checkCols(a, b); err != nil {
 		return nil, err
@@ -501,8 +405,8 @@ func (rt Runtime) CalcBinary(op CalcKind, a, b *columns.Column, out columns.Form
 	return rt.stitchCompressed(out, a.N(), [][]uint64{dst})
 }
 
-// ParSumGrouped is the morsel-parallel form of SumGrouped: group ids and
-// values are split at shared boundaries, every worker accumulates the
+// SumGrouped is the morsel-parallel form of the sequential SumGrouped: group
+// ids and values are split at shared boundaries, every worker accumulates the
 // morsels it claims into its own partial group-sum array of length nGroups,
 // and one reducer merges the partials. Per-group addition modulo 2^64 is
 // commutative and associative, so the merged sums equal the sequential ones
@@ -510,11 +414,6 @@ func (rt Runtime) CalcBinary(op CalcKind, a, b *columns.Column, out columns.Form
 // (always uncompressed) is byte-identical. Groupings with more groups than
 // elements per worker fall back to the sequential operator (the per-worker
 // arrays and the merge would dominate).
-func ParSumGrouped(gids, vals *columns.Column, nGroups int, style vector.Style, par int) (*columns.Column, error) {
-	return FixedRT(par).SumGrouped(gids, vals, nGroups, style)
-}
-
-// SumGrouped is the runtime form of ParSumGrouped.
 func (rt Runtime) SumGrouped(gids, vals *columns.Column, nGroups int, style vector.Style) (*columns.Column, error) {
 	if err := checkCols(gids, vals); err != nil {
 		return nil, err

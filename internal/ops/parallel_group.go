@@ -107,15 +107,10 @@ func mergeBuilds(workers int, nLocal func(w int) int, firstPos func(w, lid int) 
 	return ext, remaps
 }
 
-// ParGroupFirst is the morsel-parallel form of GroupFirst: per-worker hash
-// group tables, a deterministic merge assigning canonical global ids in
-// first-occurrence order, and a remap pass rewriting the staged local ids.
-// Both outputs are byte-identical to GroupFirst at every par.
-func ParGroupFirst(keys *columns.Column, outGids, outExtents columns.FormatDesc, style vector.Style, par int) (gids, extents *columns.Column, err error) {
-	return FixedRT(par).GroupFirst(keys, outGids, outExtents, style)
-}
-
-// GroupFirst is the runtime form of ParGroupFirst.
+// GroupFirst is the morsel-parallel form of the sequential GroupFirst:
+// per-worker hash group tables, a deterministic merge assigning canonical
+// global ids in first-occurrence order, and a remap pass rewriting the staged
+// local ids. Both outputs are byte-identical to GroupFirst at every par.
 func (rt Runtime) GroupFirst(keys *columns.Column, outGids, outExtents columns.FormatDesc, style vector.Style) (gids, extents *columns.Column, err error) {
 	if err := checkCols(keys); err != nil {
 		return nil, nil, err
@@ -178,14 +173,9 @@ func (rt Runtime) GroupFirst(keys *columns.Column, outGids, outExtents columns.F
 	return rt.finishGroup(chunks, morselWorker, remaps, ext, keys.N(), outGids, outExtents)
 }
 
-// ParGroupNext is the morsel-parallel form of GroupNext, refining an
-// existing grouping with an additional key column under the same
+// GroupNext is the morsel-parallel form of the sequential GroupNext, refining
+// an existing grouping with an additional key column under the same
 // build/merge/remap scheme keyed on (previous gid, key) pairs.
-func ParGroupNext(prevGids, keys *columns.Column, outGids, outExtents columns.FormatDesc, style vector.Style, par int) (gids, extents *columns.Column, err error) {
-	return FixedRT(par).GroupNext(prevGids, keys, outGids, outExtents, style)
-}
-
-// GroupNext is the runtime form of ParGroupNext.
 func (rt Runtime) GroupNext(prevGids, keys *columns.Column, outGids, outExtents columns.FormatDesc, style vector.Style) (gids, extents *columns.Column, err error) {
 	if err := checkCols(prevGids, keys); err != nil {
 		return nil, nil, err

@@ -50,7 +50,7 @@ func TestParallelGroupFirstEquivalence(t *testing.T) {
 					t.Fatalf("group %s: %v", ctx, err)
 				}
 				for _, par := range parLevels {
-					gotG, gotE, err := ParGroupFirst(keys, outDesc, columns.UncomprDesc, style, par)
+					gotG, gotE, err := FixedRT(par).GroupFirst(keys, outDesc, columns.UncomprDesc, style)
 					if err != nil {
 						t.Fatalf("par group %s p=%d: %v", ctx, par, err)
 					}
@@ -89,7 +89,7 @@ func TestParallelGroupNextEquivalence(t *testing.T) {
 						t.Fatalf("group next %s: %v", ctx, err)
 					}
 					for _, par := range parLevels {
-						gotG, gotE, err := ParGroupNext(gids1Ref, keys2, outDesc, columns.DeltaBPDesc, style, par)
+						gotG, gotE, err := FixedRT(par).GroupNext(gids1Ref, keys2, outDesc, columns.DeltaBPDesc, style)
 						if err != nil {
 							t.Fatalf("par group next %s p=%d: %v", ctx, par, err)
 						}
@@ -124,7 +124,7 @@ func TestParallelGroupFirstSkewed(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, par := range parLevels {
-			gotG, gotE, err := ParGroupFirst(in, columns.DynBPDesc, columns.DeltaBPDesc, vector.Vec512, par)
+			gotG, gotE, err := FixedRT(par).GroupFirst(in, columns.DynBPDesc, columns.DeltaBPDesc, vector.Vec512)
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", name, par, err)
 			}
@@ -140,7 +140,7 @@ func TestParallelGroupNextLengthMismatch(t *testing.T) {
 	a := columns.FromValues(make([]uint64, parTestN))
 	b := columns.FromValues(make([]uint64, parTestN-1))
 	for _, par := range parLevels {
-		if _, _, err := ParGroupNext(a, b, columns.UncomprDesc, columns.UncomprDesc, vector.Scalar, par); err == nil {
+		if _, _, err := FixedRT(par).GroupNext(a, b, columns.UncomprDesc, columns.UncomprDesc, vector.Scalar); err == nil {
 			t.Fatalf("p=%d: diverging inputs must fail", par)
 		}
 	}

@@ -54,15 +54,10 @@ func (rt Runtime) splitSortedInputs(a, b *columns.Column) ([]formats.RangePair, 
 	return formats.SplitSortedAligned(vals[0], vals[1], rt.Par()), vals[0], vals[1], nil
 }
 
-// ParIntersect is the value-range-parallel form of IntersectSorted: both
+// Intersect is the value-range-parallel form of IntersectSorted: both
 // sorted inputs are split at shared value boundaries and the per-range
 // intersections are concatenated in range order. The result is
 // byte-identical to IntersectSorted at every par.
-func ParIntersect(a, b *columns.Column, out columns.FormatDesc, par int) (*columns.Column, error) {
-	return FixedRT(par).Intersect(a, b, out)
-}
-
-// Intersect is the runtime form of ParIntersect.
 func (rt Runtime) Intersect(a, b *columns.Column, out columns.FormatDesc) (*columns.Column, error) {
 	if err := checkCols(a, b); err != nil {
 		return nil, err
@@ -102,12 +97,7 @@ func (rt Runtime) Intersect(a, b *columns.Column, out columns.FormatDesc) (*colu
 	return rt.stitchCompressed(out, min(a.N(), b.N()), results)
 }
 
-// ParMerge is the value-range-parallel form of MergeSorted.
-func ParMerge(a, b *columns.Column, out columns.FormatDesc, par int) (*columns.Column, error) {
-	return FixedRT(par).Merge(a, b, out)
-}
-
-// Merge is the runtime form of ParMerge.
+// Merge is the value-range-parallel form of MergeSorted.
 func (rt Runtime) Merge(a, b *columns.Column, out columns.FormatDesc) (*columns.Column, error) {
 	if err := checkCols(a, b); err != nil {
 		return nil, err

@@ -89,12 +89,12 @@ func TestParallelOperatorEquivalence(t *testing.T) {
 					t.Fatalf("between %s: %v", ctx, err)
 				}
 				for _, par := range parLevels {
-					got, err := ParSelect(in, bitutil.CmpLt, 250, outDesc, style, par)
+					got, err := FixedRT(par).SelectAuto(in, bitutil.CmpLt, 250, outDesc, style, false)
 					if err != nil {
 						t.Fatalf("par select %s p=%d: %v", ctx, par, err)
 					}
 					assertSameColumn(t, "select "+ctx, seqSel, got)
-					got, err = ParSelectBetween(in, 100, 400, outDesc, style, par)
+					got, err = FixedRT(par).SelectBetweenAuto(in, 100, 400, outDesc, style, false)
 					if err != nil {
 						t.Fatalf("par between %s p=%d: %v", ctx, par, err)
 					}
@@ -118,7 +118,7 @@ func TestParallelSumEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, par := range parLevels {
-				got, gotCol, err := ParSum(in, style, par)
+				got, gotCol, err := FixedRT(par).SumAuto(in, style, false)
 				if err != nil {
 					t.Fatalf("par sum %v/%v p=%d: %v", inDesc, style, par, err)
 				}
@@ -155,7 +155,7 @@ func TestParallelProjectEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, par := range parLevels {
-						got, err := ParProject(data, pos, outDesc, style, par)
+						got, err := FixedRT(par).Project(data, pos, outDesc, style)
 						if err != nil {
 							t.Fatalf("par project %v/%v/%v/%v p=%d: %v",
 								dataDesc, posDesc, outDesc, style, par, err)
@@ -247,7 +247,7 @@ func TestParallelSemiJoinEquivalence(t *testing.T) {
 							t.Fatalf("semijoin %s: differs from the nested-loop reference", ctx)
 						}
 						for _, par := range parLevels {
-							got, err := ParSemiJoin(probe, build, outDesc, style, par)
+							got, err := FixedRT(par).SemiJoin(probe, build, outDesc, style)
 							if err != nil {
 								t.Fatalf("par semijoin %s p=%d: %v", ctx, par, err)
 							}
@@ -293,7 +293,7 @@ func TestParallelJoinN1Equivalence(t *testing.T) {
 							t.Fatalf("join %s: differs from the nested-loop reference", ctx)
 						}
 						for _, par := range parLevels {
-							gotP, gotB, err := ParJoinN1(probe, build, outDesc, outDesc, style, par)
+							gotP, gotB, err := FixedRT(par).JoinN1(probe, build, outDesc, outDesc, style)
 							if err != nil {
 								t.Fatalf("par join %s p=%d: %v", ctx, par, err)
 							}
@@ -350,7 +350,7 @@ func TestParallelJoinN1Skewed(t *testing.T) {
 						t.Fatalf("%s: differs from the nested-loop reference", ctx)
 					}
 					for _, par := range parLevels {
-						gotP, gotB, err := ParJoinN1(probe, build, outDesc, outDesc, vector.Vec512, par)
+						gotP, gotB, err := FixedRT(par).JoinN1(probe, build, outDesc, outDesc, vector.Vec512)
 						if err != nil {
 							t.Fatalf("%s p=%d: %v", ctx, par, err)
 						}
@@ -391,7 +391,7 @@ func TestParallelCalcEquivalence(t *testing.T) {
 							t.Fatalf("calc %s: %v", ctx, err)
 						}
 						for _, par := range parLevels {
-							got, err := ParCalcBinary(op, a, bcol, outDesc, style, par)
+							got, err := FixedRT(par).CalcBinary(op, a, bcol, outDesc, style)
 							if err != nil {
 								t.Fatalf("par calc %s p=%d: %v", ctx, par, err)
 							}
@@ -432,7 +432,7 @@ func TestParallelSumGroupedEquivalence(t *testing.T) {
 					t.Fatalf("grouped sum %s: %v", ctx, err)
 				}
 				for _, par := range parLevels {
-					got, err := ParSumGrouped(gids, vals, nGroups, style, par)
+					got, err := FixedRT(par).SumGrouped(gids, vals, nGroups, style)
 					if err != nil {
 						t.Fatalf("par grouped sum %s p=%d: %v", ctx, par, err)
 					}
@@ -451,7 +451,7 @@ func TestParallelSumGroupedRejectsOutOfRange(t *testing.T) {
 	gids := columns.FromValues(gidVals)
 	vals := columns.FromValues(parTestValues(parTestN))
 	for _, par := range parLevels {
-		if _, err := ParSumGrouped(gids, vals, 10, vector.Scalar, par); err == nil {
+		if _, err := FixedRT(par).SumGrouped(gids, vals, 10, vector.Scalar); err == nil {
 			t.Fatalf("p=%d: out-of-range group id must fail", par)
 		}
 	}
@@ -481,12 +481,12 @@ func TestParallelAutoMatchesSpecialized(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, par := range parLevels {
-			got, err := ParSelectAuto(in, bitutil.CmpLt, 50, columns.DeltaBPDesc, vector.Vec512, true, par)
+			got, err := FixedRT(par).SelectAuto(in, bitutil.CmpLt, 50, columns.DeltaBPDesc, vector.Vec512, true)
 			if err != nil {
 				t.Fatalf("%v p=%d: %v", inDesc, par, err)
 			}
 			assertSameColumn(t, "auto select "+inDesc.String(), want, got)
-			got, err = ParSelectBetweenAuto(in, 20, 120, columns.DeltaBPDesc, vector.Vec512, true, par)
+			got, err = FixedRT(par).SelectBetweenAuto(in, 20, 120, columns.DeltaBPDesc, vector.Vec512, true)
 			if err != nil {
 				t.Fatalf("%v p=%d: %v", inDesc, par, err)
 			}
@@ -497,7 +497,7 @@ func TestParallelAutoMatchesSpecialized(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, par := range parLevels {
-			gotSum, _, err := ParSumAuto(in, vector.Vec512, true, par)
+			gotSum, _, err := FixedRT(par).SumAuto(in, vector.Vec512, true)
 			if err != nil {
 				t.Fatalf("%v p=%d: %v", inDesc, par, err)
 			}
@@ -546,9 +546,9 @@ func TestParallelAutoSpecializedEdgeCases(t *testing.T) {
 		for _, par := range parLevels {
 			var got *columns.Column
 			if tc.rng {
-				got, err = ParSelectBetweenAuto(in, tc.lo, tc.hi, columns.DynBPDesc, vector.Scalar, true, par)
+				got, err = FixedRT(par).SelectBetweenAuto(in, tc.lo, tc.hi, columns.DynBPDesc, vector.Scalar, true)
 			} else {
-				got, err = ParSelectAuto(in, tc.op, tc.val, columns.DynBPDesc, vector.Scalar, true, par)
+				got, err = FixedRT(par).SelectAuto(in, tc.op, tc.val, columns.DynBPDesc, vector.Scalar, true)
 			}
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", tc.name, par, err)

@@ -294,8 +294,7 @@ func (b *Budget) InUse() int {
 // the cancellation context, the operator's budget lease (nil outside an
 // engine), the morsel-parallelism cap, the operator's stats collector (nil
 // when detached), and the query's memory reservation (nil without a memory
-// budget). The zero value behaves like the legacy fixed par=1 sequential
-// execution.
+// budget). The zero value runs every operator sequentially.
 type Runtime struct {
 	ctx   context.Context
 	lease *Lease
@@ -305,7 +304,7 @@ type Runtime struct {
 }
 
 // FixedRT returns a runtime with a fixed worker count and no budget sharing
-// or cancellation — the behavior of the legacy positional operator API.
+// or cancellation: a standalone operator run outside an engine.
 func FixedRT(par int) Runtime { return Runtime{par: par} }
 
 // RT returns a runtime for one operator run: ctx is checked between morsels,

@@ -138,13 +138,8 @@ func selectInKernel(vals []uint64, base uint64, set []uint64, stage []uint64) in
 	return k
 }
 
-// ParSelectIn is the morsel-parallel form of SelectIn, splitting the input
-// into work-queue morsels for up to par workers.
-func ParSelectIn(in *columns.Column, set []uint64, out columns.FormatDesc, style vector.Style, par int) (*columns.Column, error) {
-	return FixedRT(par).SelectIn(in, set, out, style)
-}
-
-// SelectIn is the runtime form of ParSelectIn.
+// SelectIn is the morsel-parallel form of the sequential SelectIn, splitting
+// the input into work-queue morsels for up to rt.Par() workers.
 func (rt Runtime) SelectIn(in *columns.Column, set []uint64, out columns.FormatDesc, style vector.Style) (*columns.Column, error) {
 	if err := checkCols(in); err != nil {
 		return nil, err

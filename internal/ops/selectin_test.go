@@ -71,7 +71,7 @@ func TestSelectInEquivalence(t *testing.T) {
 						}
 					}
 					for _, par := range parLevels {
-						got, err := ParSelectIn(in, set, outDesc, style, par)
+						got, err := FixedRT(par).SelectIn(in, set, outDesc, style)
 						if err != nil {
 							t.Fatalf("par select in %s set=%d p=%d: %v", ctx, si, par, err)
 						}
@@ -122,7 +122,7 @@ func TestSelectInRejectsUnsortedSet(t *testing.T) {
 		if _, err := SelectIn(in, set, columns.UncomprDesc, vector.Scalar); !errors.Is(err, qerr.ErrInvalidSchema) {
 			t.Fatalf("set %v: err = %v, want ErrInvalidSchema", set, err)
 		}
-		if _, err := ParSelectIn(in, set, columns.UncomprDesc, vector.Scalar, 2); !errors.Is(err, qerr.ErrInvalidSchema) {
+		if _, err := FixedRT(2).SelectIn(in, set, columns.UncomprDesc, vector.Scalar); !errors.Is(err, qerr.ErrInvalidSchema) {
 			t.Fatalf("par set %v: err = %v, want ErrInvalidSchema", set, err)
 		}
 	}

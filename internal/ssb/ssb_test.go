@@ -1,6 +1,7 @@
 package ssb
 
 import (
+	"context"
 	"testing"
 
 	"morphstore/internal/columns"
@@ -8,6 +9,16 @@ import (
 	"morphstore/internal/monetsim"
 	"morphstore/internal/vector"
 )
+
+// execPlan prepares p on a fresh engine over db under cfg and executes it
+// once.
+func execPlan(p *core.Plan, db *core.DB, cfg *core.Config) (*core.Result, error) {
+	pr, err := core.NewEngine(db).Prepare(p, core.WithConfig(cfg))
+	if err != nil {
+		return nil, err
+	}
+	return pr.Execute(context.Background())
+}
 
 // testData caches a small SSB instance across tests.
 var testData *Data
@@ -216,7 +227,7 @@ func TestAllQueriesAllEnginesAgree(t *testing.T) {
 				"vec-delta":      core.UniformConfig(plan, columns.DeltaBPDesc, vector.Vec512),
 			}
 			for name, cfg := range cfgs {
-				res, err := core.Execute(plan, d.DB, cfg)
+				res, err := execPlan(plan, d.DB, cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -237,7 +248,7 @@ func TestAllQueriesAllEnginesAgree(t *testing.T) {
 			}
 			cfg := core.UniformConfig(plan, columns.DynBPDesc, vector.Vec512)
 			cfg.Specialized = true
-			res, err := core.Execute(plan, enc, cfg)
+			res, err := execPlan(plan, enc, cfg)
 			if err != nil {
 				t.Fatalf("specialized: %v", err)
 			}
@@ -308,7 +319,7 @@ func TestCompressedConfigShrinksFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resU, err := core.Execute(plan, d.DB, core.UncompressedConfig(vector.Vec512))
+	resU, err := execPlan(plan, d.DB, core.UncompressedConfig(vector.Vec512))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +327,7 @@ func TestCompressedConfigShrinksFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resC, err := core.Execute(plan, enc, core.UniformConfig(plan, columns.StaticBPDesc(0), vector.Vec512))
+	resC, err := execPlan(plan, enc, core.UniformConfig(plan, columns.StaticBPDesc(0), vector.Vec512))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,20 @@
 package morphstore
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
+
+// execPlan prepares plan on a fresh engine over db at parallelism par (0 =
+// the engine default) under cfg and executes it once.
+func execPlan(plan *Plan, db *DB, cfg *Config, par int) (*Result, error) {
+	pr, err := NewEngine(db, WithParallelism(par)).Prepare(plan, WithConfig(cfg))
+	if err != nil {
+		return nil, err
+	}
+	return pr.Execute(context.Background())
+}
 
 // TestFacadeQuickstart exercises the public API end to end: compress,
 // analyze, morph, select, project, sum.
@@ -38,15 +49,17 @@ func TestFacadeQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pos, err := Select(static, CmpLt, 10, DeltaBP, Vec512)
+	ctx := context.Background()
+	eng := NewEngine(nil, WithStyle(Vec512))
+	pos, err := eng.Select(ctx, static, CmpLt, 10, WithOutput(DeltaBP))
 	if err != nil {
 		t.Fatal(err)
 	}
-	vcol, err := Project(static, pos, DynBP, Vec512)
+	vcol, err := eng.Project(ctx, static, pos, WithOutput(DynBP))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Sum(vcol, Vec512)
+	got, err := eng.Sum(ctx, vcol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +98,7 @@ func TestFacadePlanAPI(t *testing.T) {
 		UncompressedConfig(Scalar),
 		UniformConfig(plan, DynBP, Vec512),
 	} {
-		res, err := Execute(plan, db, cfg)
+		res, err := execPlan(plan, db, cfg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +130,7 @@ func TestFacadeSSB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(plan, data.DB, UncompressedConfig(Vec512))
+	res, err := execPlan(plan, data.DB, UncompressedConfig(Vec512), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,9 +160,7 @@ func TestFacadeSSBParallel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := UncompressedConfig(Vec512)
-		cfg.Parallelism = 8
-		res, err := Execute(plan, data.DB, cfg)
+		res, err := execPlan(plan, data.DB, UncompressedConfig(Vec512), 8)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -172,115 +183,19 @@ func TestFacadeSSBParallel(t *testing.T) {
 	}
 }
 
-// TestFacadeParallelOps checks the morsel-parallel facade wrappers against
-// their sequential counterparts.
+// TestFacadeParallelOps checks every public Engine one-off operator call on
+// a morsel-parallel engine against the same call on a sequential engine,
+// byte for byte.
 func TestFacadeParallelOps(t *testing.T) {
 	// Large enough to clear the 2*MinMorsel split threshold, so the
 	// morsel-parallel drivers genuinely run rather than falling back.
 	vals := make([]uint64, 9000)
-	for i := range vals {
-		vals[i] = uint64(i % 777)
-	}
-	col, err := Compress(vals, DynBP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Select(col, CmpLt, 100, DeltaBP, Vec512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParSelect(col, CmpLt, 100, DeltaBP, Vec512, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.String() != got.String() {
-		t.Fatalf("ParSelect: %v, want %v", got, want)
-	}
-	if _, err := ParSelectBetween(col, 10, 20, Uncompressed, Scalar, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParSemiJoin(col, FromValues([]uint64{5, 6}), Uncompressed, Scalar, 4); err != nil {
-		t.Fatal(err)
-	}
-	data := FromValues(vals)
-	if _, err := ParProject(data, want, Uncompressed, Scalar, 4); err != nil {
-		t.Fatal(err)
-	}
-	ws, err := Sum(col, Vec512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs, err := ParSum(col, Vec512, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ws != gs {
-		t.Fatalf("ParSum = %d, want %d", gs, ws)
-	}
-
-	build := FromValues([]uint64{3, 50, 200, 600})
-	wp, wb, err := JoinN1(col, build, Uncompressed, Uncompressed, Vec512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gp, gb, err := ParJoinN1(col, build, Uncompressed, Uncompressed, Vec512, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wp.String() != gp.String() || wb.String() != gb.String() {
-		t.Fatal("ParJoinN1 outputs diverge from JoinN1")
-	}
-	wc, err := Calc(CalcAdd, col, col, DynBP, Vec512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gc, err := ParCalc(CalcAdd, col, col, DynBP, Vec512, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wc.String() != gc.String() {
-		t.Fatalf("ParCalc: %v, want %v", gc, wc)
-	}
 	gids := make([]uint64, len(vals))
-	for i := range gids {
-		gids[i] = uint64(i % 5)
-	}
-	wg, err := SumGrouped(FromValues(gids), col, 5, Vec512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gg, err := ParSumGrouped(FromValues(gids), col, 5, Vec512, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wg.String() != gg.String() {
-		t.Fatalf("ParSumGrouped: %v, want %v", gg, wg)
-	}
-	wgf, wge, err := GroupFirst(FromValues(gids), DynBP, Uncompressed, Vec512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ggf, gge, err := ParGroupFirst(FromValues(gids), DynBP, Uncompressed, Vec512, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wgf.String() != ggf.String() || wge.String() != gge.String() {
-		t.Fatal("ParGroupFirst outputs diverge from GroupFirst")
-	}
-	wgn, _, err := GroupNext(wgf, col, DynBP, Uncompressed, Vec512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ggn, _, err := ParGroupNext(ggf, col, DynBP, Uncompressed, Vec512, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wgn.String() != ggn.String() {
-		t.Fatal("ParGroupNext diverges from GroupNext")
-	}
 	posA := make([]uint64, 0, len(vals))
 	posB := make([]uint64, 0, len(vals))
 	for i := range vals {
+		vals[i] = uint64(i % 777)
+		gids[i] = uint64(i % 5)
 		if i%2 == 0 {
 			posA = append(posA, uint64(i))
 		}
@@ -288,28 +203,96 @@ func TestFacadeParallelOps(t *testing.T) {
 			posB = append(posB, uint64(i))
 		}
 	}
-	wi, err := Intersect(FromValues(posA), FromValues(posB), DeltaBP)
+	col, err := Compress(vals, DynBP)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gi, err := ParIntersect(FromValues(posA), FromValues(posB), DeltaBP, 4)
+	data, gcol := FromValues(vals), FromValues(gids)
+	pa, pb := FromValues(posA), FromValues(posB)
+	build := FromValues([]uint64{3, 50, 200, 600})
+	ctx := context.Background()
+	seq := NewEngine(nil, WithParallelism(1), WithStyle(Vec512))
+	par := NewEngine(nil, WithParallelism(4), WithStyle(Vec512))
+	sel, err := seq.Select(ctx, col, CmpLt, 100, WithOutput(DeltaBP))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wi.String() != gi.String() {
-		t.Fatal("ParIntersect diverges from Intersect")
-	}
-	wu, err := Union(FromValues(posA), FromValues(posB), DeltaBP)
+	prevGids, _, err := seq.GroupFirst(ctx, gcol, WithOutputs(DynBP, Uncompressed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gu, err := ParUnion(FromValues(posA), FromValues(posB), DeltaBP, 4)
-	if err != nil {
-		t.Fatal(err)
+
+	one := func(c *Column, err error) ([]*Column, error) { return []*Column{c}, err }
+	two := func(a, b *Column, err error) ([]*Column, error) { return []*Column{a, b}, err }
+	cases := []struct {
+		name string
+		run  func(e *Engine) ([]*Column, error)
+	}{
+		{"select", func(e *Engine) ([]*Column, error) {
+			return one(e.Select(ctx, col, CmpLt, 100, WithOutput(DeltaBP)))
+		}},
+		{"between", func(e *Engine) ([]*Column, error) {
+			return one(e.SelectBetween(ctx, col, 10, 20, WithStyle(Scalar)))
+		}},
+		{"semijoin", func(e *Engine) ([]*Column, error) {
+			return one(e.SemiJoin(ctx, col, FromValues([]uint64{5, 6}), WithStyle(Scalar)))
+		}},
+		{"project", func(e *Engine) ([]*Column, error) {
+			return one(e.Project(ctx, data, sel, WithStyle(Scalar)))
+		}},
+		{"sum", func(e *Engine) ([]*Column, error) {
+			s, err := e.Sum(ctx, col)
+			return one(FromValues([]uint64{s}), err)
+		}},
+		{"join", func(e *Engine) ([]*Column, error) { return two(e.JoinN1(ctx, col, build)) }},
+		{"calc", func(e *Engine) ([]*Column, error) {
+			return one(e.Calc(ctx, CalcAdd, col, col, WithOutput(DynBP)))
+		}},
+		{"sum grouped", func(e *Engine) ([]*Column, error) { return one(e.SumGrouped(ctx, gcol, col, 5)) }},
+		{"group first", func(e *Engine) ([]*Column, error) {
+			return two(e.GroupFirst(ctx, gcol, WithOutputs(DynBP, Uncompressed)))
+		}},
+		{"group next", func(e *Engine) ([]*Column, error) {
+			return two(e.GroupNext(ctx, prevGids, col, WithOutputs(DynBP, Uncompressed)))
+		}},
+		{"intersect", func(e *Engine) ([]*Column, error) {
+			return one(e.Intersect(ctx, pa, pb, WithOutput(DeltaBP)))
+		}},
+		{"union", func(e *Engine) ([]*Column, error) { return one(e.Union(ctx, pa, pb, WithOutput(DeltaBP))) }},
 	}
-	if wu.String() != gu.String() {
-		t.Fatal("ParUnion diverges from Union")
+	for _, tc := range cases {
+		want, err := tc.run(seq)
+		if err != nil {
+			t.Fatalf("%s sequential: %v", tc.name, err)
+		}
+		got, err := tc.run(par)
+		if err != nil {
+			t.Fatalf("%s parallel: %v", tc.name, err)
+		}
+		for i := range want {
+			if !sameColumn(want[i], got[i]) {
+				t.Fatalf("%s output %d: %v, want %v", tc.name, i, got[i], want[i])
+			}
+		}
 	}
+}
+
+// sameColumn reports whether two columns hold the same format, length and
+// physical words.
+func sameColumn(a, b *Column) bool {
+	if a.Desc() != b.Desc() || a.N() != b.N() || a.MainElems() != b.MainElems() {
+		return false
+	}
+	aw, bw := a.Words(), b.Words()
+	if len(aw) != len(bw) {
+		return false
+	}
+	for i := range aw {
+		if aw[i] != bw[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // TestFacadeFormats sanity-checks the format constructors.
@@ -327,16 +310,18 @@ func TestFacadeFormats(t *testing.T) {
 	if c.N() != 2 {
 		t.Error("FromValues")
 	}
-	if _, err := Calc(CalcMul, c, c, Uncompressed, Scalar); err != nil {
+	ctx := context.Background()
+	eng := NewEngine(nil)
+	if _, err := eng.Calc(ctx, CalcMul, c, c); err != nil {
 		t.Error(err)
 	}
-	if _, err := Intersect(c, c, Uncompressed); err != nil {
+	if _, err := eng.Intersect(ctx, c, c); err != nil {
 		t.Error(err)
 	}
-	if _, err := Union(c, c, Uncompressed); err != nil {
+	if _, err := eng.Union(ctx, c, c); err != nil {
 		t.Error(err)
 	}
-	if _, err := SelectBetween(c, 1, 2, Uncompressed, Scalar); err != nil {
+	if _, err := eng.SelectBetween(ctx, c, 1, 2); err != nil {
 		t.Error(err)
 	}
 	p := Analyze([]uint64{5, 5, 5})

@@ -56,13 +56,8 @@ func sameResultCols(t *testing.T, label string, want, got *Result) {
 		if g == nil {
 			t.Fatalf("%s: column %q missing", label, name)
 		}
-		if g.N() != w.N() || len(g.Words()) != len(w.Words()) {
-			t.Fatalf("%s: column %q shape mismatch", label, name)
-		}
-		for k, ww := range w.Words() {
-			if g.Words()[k] != ww {
-				t.Fatalf("%s: column %q word %d differs", label, name, k)
-			}
+		if !sameColumn(w, g) {
+			t.Fatalf("%s: column %q differs: %v, want %v", label, name, g, w)
 		}
 	}
 }
