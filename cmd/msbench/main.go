@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math/rand"
 	"os"
 	"runtime"
 	"sort"
@@ -249,6 +250,28 @@ func run(b *bench, n int, seed int64, repeats, par int, tracePath string) error 
 	b.record("swar", "select_direct", "gbps", gbps(n, ts))
 	b.record("swar", "select_otf", "gbps", gbps(n, to))
 
+	// The select above scans a perfectly predictable i%251 pattern; a
+	// uniform 4-bit column under a ~30% range is the mispredict-prone case
+	// (SSB's discount predicates).
+	rng := rand.New(rand.NewSource(seed))
+	nib := make([]uint64, n)
+	for i := range nib {
+		nib[i] = uint64(rng.Intn(16))
+	}
+	nibCol, err := formats.Compress(nib, columns.StaticBPDesc(4))
+	if err != nil {
+		return err
+	}
+	tb, err := minTime(repeats, func() error {
+		_, err := ops.SelectBetweenStaticBPDirect(nibCol, 3, 7, columns.DeltaBPDesc)
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	b.printf("between on packed words:    %8.2f GB/s\n", gbps(n, tb))
+	b.record("swar", "between_direct", "gbps", gbps(n, tb))
+
 	// Morphing bandwidth.
 	b.printf("\n-- morphing (DynBP -> StaticBP) --\n")
 	src, err := formats.Compress(datagen.Generate(datagen.C1, n, seed), columns.DynBPDesc)
@@ -324,6 +347,16 @@ func run(b *bench, n int, seed int64, repeats, par int, tracePath string) error 
 		sparseBuild[i] = v<<32 | 3
 	}
 	sparseBuildCol := columns.FromValues(sparseBuild)
+	// A uniform 6-bit column under a ~30% range runs the generic scalar
+	// between kernel where a branchy emit would mispredict.
+	sixVals := make([]uint64, n)
+	for i := range sixVals {
+		sixVals[i] = uint64(rng.Intn(64))
+	}
+	sixCol, err := formats.Compress(sixVals, columns.DynBPDesc)
+	if err != nil {
+		return err
+	}
 
 	levels := []int{}
 	for p := 1; p < par; p *= 2 {
@@ -373,9 +406,17 @@ func run(b *bench, n int, seed int64, repeats, par int, tracePath string) error 
 		if err != nil {
 			return err
 		}
-		b.printf("par=%-2d  select: %8.2f GB/s   sum: %8.2f GB/s   joinn1: %8.2f GB/s   joinn1_sparse: %8.2f GB/s   calc: %8.2f GB/s   sum_grouped: %8.2f GB/s\n",
-			p, gbps(n, tp), gbps(n, tsum), gbps(n, tjoin), gbps(n, tjoinSparse), gbps(n, tcalc), gbps(n, tgsum))
+		tbet, err := minTime(repeats, func() error {
+			_, err := ops.FixedRT(p).SelectBetweenAuto(sixCol, 10, 29, columns.DeltaBPDesc, vector.Scalar, false)
+			return err
+		})
+		if err != nil {
+			return err
+		}
+		b.printf("par=%-2d  select: %8.2f GB/s   between: %8.2f GB/s   sum: %8.2f GB/s   joinn1: %8.2f GB/s   joinn1_sparse: %8.2f GB/s   calc: %8.2f GB/s   sum_grouped: %8.2f GB/s\n",
+			p, gbps(n, tp), gbps(n, tbet), gbps(n, tsum), gbps(n, tjoin), gbps(n, tjoinSparse), gbps(n, tcalc), gbps(n, tgsum))
 		b.record("parallel", fmt.Sprintf("select_par%d", p), "gbps", gbps(n, tp))
+		b.record("parallel", fmt.Sprintf("between_par%d", p), "gbps", gbps(n, tbet))
 		b.record("parallel", fmt.Sprintf("sum_par%d", p), "gbps", gbps(n, tsum))
 		b.record("parallel", fmt.Sprintf("joinn1_par%d", p), "gbps", gbps(n, tjoin))
 		b.record("parallel", fmt.Sprintf("joinn1_sparse_par%d", p), "gbps", gbps(n, tjoinSparse))
@@ -434,6 +475,26 @@ func run(b *bench, n int, seed int64, repeats, par int, tracePath string) error 
 		return err
 	}
 	nSet := len(setA) + len(setB) // elements touched per run
+	// The i%2 / i%3 lists above are perfectly predictable for the merge;
+	// random 27% / 48% lists (SSB Q1.x's two position lists) are not.
+	var randA, randB []uint64
+	for i := 0; i < n; i++ {
+		if rng.Intn(100) < 27 {
+			randA = append(randA, uint64(i))
+		}
+		if rng.Intn(100) < 48 {
+			randB = append(randB, uint64(i))
+		}
+	}
+	randACol, err := formats.Compress(randA, columns.DeltaBPDesc)
+	if err != nil {
+		return err
+	}
+	randBCol, err := formats.Compress(randB, columns.DeltaBPDesc)
+	if err != nil {
+		return err
+	}
+	nRand := len(randA) + len(randB)
 	for _, p := range levels {
 		ti, err := minTime(repeats, func() error {
 			_, err := ops.FixedRT(p).Intersect(setACol, setBCol, columns.DeltaBPDesc)
@@ -449,9 +510,17 @@ func run(b *bench, n int, seed int64, repeats, par int, tracePath string) error 
 		if err != nil {
 			return err
 		}
-		b.printf("par=%-2d  intersect: %8.2f GB/s   merge: %8.2f GB/s\n",
-			p, gbps(nSet, ti), gbps(nSet, tu))
+		tir, err := minTime(repeats, func() error {
+			_, err := ops.FixedRT(p).Intersect(randACol, randBCol, columns.DeltaBPDesc)
+			return err
+		})
+		if err != nil {
+			return err
+		}
+		b.printf("par=%-2d  intersect: %8.2f GB/s   intersect_rand: %8.2f GB/s   merge: %8.2f GB/s\n",
+			p, gbps(nSet, ti), gbps(nRand, tir), gbps(nSet, tu))
 		b.record("setops", fmt.Sprintf("intersect_par%d", p), "gbps", gbps(nSet, ti))
+		b.record("setops", fmt.Sprintf("intersect_rand_par%d", p), "gbps", gbps(nRand, tir))
 		b.record("setops", fmt.Sprintf("merge_par%d", p), "gbps", gbps(nSet, tu))
 	}
 

@@ -192,7 +192,19 @@ func TestBroadcast(t *testing.T) {
 	}
 }
 
-func TestCmpPackedWordExhaustiveSmallWidths(t *testing.T) {
+// refMatch is the field-at-a-time reference for SwarPred.Match: bit f*b
+// set iff field f of word satisfies pred.
+func refMatch(word uint64, b uint, pred func(f uint64) bool) uint64 {
+	var want uint64
+	for i := uint(0); i < 64/b; i++ {
+		if pred((word >> (i * b)) & Mask(b)) {
+			want |= 1 << (i * b)
+		}
+	}
+	return want
+}
+
+func TestSwarPredCmpExhaustiveSmallWidths(t *testing.T) {
 	ops := []CmpKind{CmpEq, CmpNe, CmpLt, CmpLe, CmpGt, CmpGe}
 	rng := rand.New(rand.NewSource(7))
 	for _, b := range []uint{1, 2, 4, 8, 16, 32} {
@@ -205,13 +217,13 @@ func TestCmpPackedWordExhaustiveSmallWidths(t *testing.T) {
 				word |= fields[i] << (uint(i) * b)
 			}
 			pred := rng.Uint64() & Mask(b)
-			yb := Broadcast(pred, b)
 			for _, op := range ops {
-				got := CmpPackedWord(word, yb, b, op)
+				p := NewSwarCmp(b, op, pred)
+				got := p.Match(word)
 				var want uint64
 				for i, f := range fields {
 					if op.Eval(f, pred) {
-						want |= 1 << uint(i)
+						want |= 1 << (uint(i) * b)
 					}
 				}
 				if got != want {
@@ -223,8 +235,9 @@ func TestCmpPackedWordExhaustiveSmallWidths(t *testing.T) {
 	}
 }
 
-func TestCmpPackedWordBoundaryValues(t *testing.T) {
-	// All-zero, all-max and predicate at extremes.
+func TestSwarPredCmpBoundaryValues(t *testing.T) {
+	// All-zero, all-max and predicate at extremes, including constants
+	// beyond the field range.
 	for _, b := range []uint{1, 2, 4, 8, 16, 32} {
 		per := int(64 / b)
 		maxv := Mask(b)
@@ -233,18 +246,45 @@ func TestCmpPackedWordBoundaryValues(t *testing.T) {
 			for i := 0; i < per; i++ {
 				word |= fv << (uint(i) * b)
 			}
-			for _, pred := range []uint64{0, maxv} {
-				yb := Broadcast(pred, b)
+			for _, pred := range []uint64{0, maxv, maxv + 1, ^uint64(0)} {
 				for _, op := range []CmpKind{CmpEq, CmpNe, CmpLt, CmpLe, CmpGt, CmpGe} {
-					got := CmpPackedWord(word, yb, b, op)
+					p := NewSwarCmp(b, op, pred)
+					got := p.Match(word)
 					var want uint64
 					for i := 0; i < per; i++ {
 						if op.Eval(fv, pred) {
-							want |= 1 << uint(i)
+							want |= 1 << (uint(i) * b)
 						}
 					}
 					if got != want {
 						t.Fatalf("b=%d op=%v f=%x pred=%x: got %b want %b", b, op, fv, pred, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSwarPredBetween covers every SWAR width with bounds drawn from the
+// field-range edges {0, 1, Mask(b)-1, Mask(b)} and beyond, in every order
+// (lo > hi must match nothing), over edge-valued and random words.
+func TestSwarPredBetween(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, b := range []uint{1, 2, 4, 8, 16, 32} {
+		maxv := Mask(b)
+		consts := []uint64{0, 1, maxv - 1, maxv, maxv + 1, ^uint64(0)}
+		words := []uint64{0, ^uint64(0), Broadcast(1, b), Broadcast(maxv-1, b)}
+		for i := 0; i < 50; i++ {
+			words = append(words, rng.Uint64())
+		}
+		for _, lo := range consts {
+			for _, hi := range consts {
+				p := NewSwarBetween(b, lo, hi)
+				for _, word := range words {
+					got := p.Match(word)
+					want := refMatch(word, b, func(f uint64) bool { return lo <= f && f <= hi })
+					if got != want {
+						t.Fatalf("b=%d [%d,%d] word=%x: got %b want %b", b, lo, hi, word, got, want)
 					}
 				}
 			}

@@ -8,11 +8,9 @@
 //
 // Exactness is obtained with the even/odd split: fields are isolated into
 // windows of width 2*b (the neighbour field zeroed), so carries and borrows
-// of the window-local arithmetic can never cross into the next field:
-//
-//   - non-zero test: f + (2^(2b-1)-1) sets the window's top bit iff f != 0,
-//     because f < 2^b <= 2^(2b-1).
-//   - x >= y test: (x | 2^(2b-1)) - y keeps the window's top bit iff x >= y.
+// of the window-local arithmetic can never cross into the next field. The
+// comparison primitive is the x >= y test: (x | 2^(2b-1)) - y keeps the
+// window's top bit iff x >= y.
 package bitutil
 
 import "math/bits"
@@ -99,66 +97,93 @@ func (c CmpKind) Eval(x, y uint64) bool {
 	}
 }
 
-// nonZeroHalf returns, for fields isolated in 2b windows (top half of each
-// window zero), the window-top bits set iff the window's field is non-zero.
-func nonZeroHalf(x, test uint64, w uint) uint64 {
-	addend := test - (test >> (w - 1)) // 2^(w-1)-1 in every window
-	return (x + addend) & test
+// SwarPred is a field-parallel predicate over b-wide packed fields with its
+// masks and broadcast constants precomputed once per operator call. Every
+// comparison is normalized to a window test lo <= f <= hi, negated for !=,
+// so Match evaluates all 64/b fields of a word with the same branch-free
+// instruction sequence whatever the operator: the >= lo and <= hi window
+// tests of each even/odd half are ANDed before any compaction.
+type SwarPred struct {
+	even, test uint64 // even-field mask; top bit of every 2b window
+	lo, hiT    uint64 // lo, and hi with the window top bits, in every even window
+	flip       uint64 // bit f*b of every field for a negated predicate, else 0
+	b          uint   // field width
+	shift      uint   // log2(b)
 }
 
-// geHalf returns, for x and y fields isolated in 2b windows, window-top bits
-// set iff x >= y in that window.
-func geHalf(x, y, test uint64) uint64 {
-	return ((x | test) - y) & test
+// NewSwarBetween returns the predicate lo <= f <= hi for width-b fields. An
+// empty range (lo > hi, or lo beyond the field range) matches nothing. b
+// must satisfy SwarWidthOK.
+func NewSwarBetween(b uint, lo, hi uint64) SwarPred {
+	return newSwarPred(b, lo, hi, false)
 }
 
-// compactTestBits maps window-top bits (positions w-1, 2w-1, ...) to even
-// field indices: window i becomes bit 2i of the result.
-func compactTestBits(t uint64, w uint) uint64 {
-	var out uint64
-	for ; t != 0; t &= t - 1 {
-		win := uint(bits.TrailingZeros64(t)) / w
-		out |= uint64(1) << (2 * win)
-	}
-	return out
-}
-
-// CmpPackedWord compares every b-wide field of word x against the broadcast
-// predicate pattern yb (built with Broadcast(v, b)) and returns a bitmask
-// with bit i set iff field i satisfies the comparison. b must satisfy
-// SwarWidthOK. The result has 64/b meaningful bits.
-func CmpPackedWord(x uint64, yb uint64, b uint, op CmpKind) uint64 {
-	even, test := swarMasks(b)
-	odd := even << b
-	w := 2 * b
-
-	xe, ye := x&even, yb&even
-	xo, yo := (x&odd)>>b, (yb&odd)>>b
-
-	var te, to uint64
+// NewSwarCmp returns the predicate `f <op> val` for width-b fields; val may
+// exceed the field range. b must satisfy SwarWidthOK.
+func NewSwarCmp(b uint, op CmpKind, val uint64) SwarPred {
+	const top = ^uint64(0)
 	switch op {
 	case CmpEq:
-		te = ^nonZeroHalf(xe^ye, test, w) & test
-		to = ^nonZeroHalf(xo^yo, test, w) & test
+		return newSwarPred(b, val, val, false)
 	case CmpNe:
-		te = nonZeroHalf(xe^ye, test, w)
-		to = nonZeroHalf(xo^yo, test, w)
-	case CmpGe:
-		te = geHalf(xe, ye, test)
-		to = geHalf(xo, yo, test)
+		return newSwarPred(b, val, val, true)
 	case CmpLt:
-		te = ^geHalf(xe, ye, test) & test
-		to = ^geHalf(xo, yo, test) & test
-	case CmpGt: // x > y  <=>  !(y >= x)
-		te = ^geHalf(ye, xe, test) & test
-		to = ^geHalf(yo, xo, test) & test
-	case CmpLe: // x <= y  <=>  y >= x
-		te = geHalf(ye, xe, test)
-		to = geHalf(yo, xo, test)
+		if val == 0 {
+			return newSwarPred(b, 1, 0, false)
+		}
+		return newSwarPred(b, 0, val-1, false)
+	case CmpLe:
+		return newSwarPred(b, 0, val, false)
+	case CmpGt:
+		if val == top {
+			return newSwarPred(b, 1, 0, false)
+		}
+		return newSwarPred(b, val+1, top, false)
+	case CmpGe:
+		return newSwarPred(b, val, top, false)
+	default:
+		return newSwarPred(b, 1, 0, false)
 	}
-
-	return compactTestBits(te, w) | compactTestBits(to, w)<<1
 }
+
+func newSwarPred(b uint, lo, hi uint64, negate bool) SwarPred {
+	// Fields are < 2^b, so bounds beyond the field range clamp, and an empty
+	// window becomes [Mask(b), 0], which no field satisfies.
+	hi = min(hi, Mask(b))
+	if lo > hi {
+		lo, hi = Mask(b), 0
+	}
+	even, test := swarMasks(b)
+	p := SwarPred{
+		even:  even,
+		test:  test,
+		lo:    Broadcast(lo, 2*b) & even,
+		hiT:   Broadcast(hi, 2*b)&even | test,
+		b:     b,
+		shift: uint(bits.TrailingZeros(b)),
+	}
+	if negate {
+		p.flip = Broadcast(1, b)
+	}
+	return p
+}
+
+// Match tests every field of the packed word x and returns a mask with bit
+// f*b set iff field f satisfies the predicate, so the matching field index
+// is TrailingZeros(mask) >> Shift() with no division.
+func (p *SwarPred) Match(x uint64) uint64 {
+	xe := x & p.even
+	xo := (x >> p.b) & p.even
+	// (x | top) - y keeps a window's top bit iff x >= y: no borrow crosses
+	// a window because both fields are < 2^b <= 2^(2b-1).
+	te := ((xe | p.test) - p.lo) & (p.hiT - xe) & p.test
+	to := ((xo | p.test) - p.lo) & (p.hiT - xo) & p.test
+	return (te>>(2*p.b-1) | to>>(p.b-1)) ^ p.flip
+}
+
+// Shift returns log2 of the field width: a Match bit index shifted right by
+// it is the field index.
+func (p *SwarPred) Shift() uint { return p.shift }
 
 // SumPackedWords sums every b-wide field across the packed words using
 // window-parallel accumulation. n is the total number of fields represented;

@@ -88,19 +88,6 @@ func streamSections(a, b *columns.Column, pt formats.Partition, process func(va,
 	return streamPaired(ra, rb, uint64(pt.Start), process)
 }
 
-// appendSink adapts a per-worker value buffer to the formats.Writer
-// interface so the sequential kernel helpers can stage into it unchanged.
-type appendSink struct{ vals []uint64 }
-
-func (s *appendSink) Write(v []uint64) error {
-	s.vals = append(s.vals, v...)
-	return nil
-}
-
-func (s *appendSink) Close() (*columns.Column, error) {
-	return columns.FromValues(s.vals), nil
-}
-
 // SelectAuto is the morsel-parallel form of the sequential SelectAuto (and,
 // with specialized=false, of Select): the input is split into work-queue
 // morsels for up to rt.Par() workers. When the input splits, it parallelizes
@@ -120,30 +107,28 @@ func (rt Runtime) SelectAuto(in *columns.Column, op bitutil.CmpKind, val uint64,
 		rt.seqFallback()
 		return SelectAuto(in, op, val, out, style, specialized)
 	}
-	if specialized && parSwarOK(in, val) {
-		return rt.parSelectSwar(in, parts, op, val, out)
+	if specialized && parSwarOK(in) {
+		return rt.parSelectSwar(in, parts, bitutil.NewSwarCmp(uint(in.Desc().Bits), op, val), out, "swar select")
 	}
-	return rt.parSelect(in, parts, op, val, out, style)
+	return rt.parSelectWith(in, parts, out, selectKernel(op, val, style), "select")
 }
 
-func (rt Runtime) parSelect(in *columns.Column, parts []formats.Partition, op bitutil.CmpKind, val uint64, out columns.FormatDesc, style vector.Style) (*columns.Column, error) {
+// parSelectWith runs kern over every morsel of in, each worker emitting
+// straight into its morsel's position list, and stitches the lists in morsel
+// order.
+func (rt Runtime) parSelectWith(in *columns.Column, parts []formats.Partition, out columns.FormatDesc, kern posKernel, what string) (*columns.Column, error) {
 	results := make([][]uint64, len(parts))
-	stages := make([][]uint64, rt.workers(len(parts)))
-	err := rt.runParts(parts, func(w, i int, pt formats.Partition) error {
-		if stages[w] == nil {
-			stages[w] = make([]uint64, blockBuf)
-		}
-		sink := &appendSink{vals: make([]uint64, 0, pt.Count/8+16)}
-		if err := streamSection(in, pt, func(vals []uint64, base uint64) error {
-			return selectOver(vals, base, op, val, style, stages[w], sink)
-		}); err != nil {
-			return err
-		}
-		results[i] = sink.vals
-		return nil
+	err := rt.runParts(parts, func(_, i int, pt formats.Partition) error {
+		res := make([]uint64, 0, pt.Count/8+16)
+		err := streamSection(in, pt, func(vals []uint64, base uint64) error {
+			res = appendSelected(res, vals, base, kern)
+			return nil
+		})
+		results[i] = res
+		return err
 	})
 	if err != nil {
-		return nil, fmt.Errorf("ops: parallel select: %w", err)
+		return nil, fmt.Errorf("ops: parallel %s: %w", what, err)
 	}
 	return rt.stitchCompressed(positionDesc(out, in.N()), in.N(), results)
 }
@@ -164,32 +149,10 @@ func (rt Runtime) SelectBetweenAuto(in *columns.Column, lo, hi uint64, out colum
 		rt.seqFallback()
 		return SelectBetweenAuto(in, lo, hi, out, style, specialized)
 	}
-	if specialized && parSwarOK(in, lo) {
-		return rt.parSelectBetweenSwar(in, parts, lo, hi, out)
+	if specialized && parSwarOK(in) {
+		return rt.parSelectSwar(in, parts, bitutil.NewSwarBetween(uint(in.Desc().Bits), lo, hi), out, "swar select between")
 	}
-	return rt.parSelectBetween(in, parts, lo, hi, out, style)
-}
-
-func (rt Runtime) parSelectBetween(in *columns.Column, parts []formats.Partition, lo, hi uint64, out columns.FormatDesc, style vector.Style) (*columns.Column, error) {
-	results := make([][]uint64, len(parts))
-	stages := make([][]uint64, rt.workers(len(parts)))
-	err := rt.runParts(parts, func(w, i int, pt formats.Partition) error {
-		if stages[w] == nil {
-			stages[w] = make([]uint64, blockBuf)
-		}
-		sink := &appendSink{vals: make([]uint64, 0, pt.Count/8+16)}
-		if err := streamSection(in, pt, func(vals []uint64, base uint64) error {
-			return betweenOver(vals, base, lo, hi, style, stages[w], sink)
-		}); err != nil {
-			return err
-		}
-		results[i] = sink.vals
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("ops: parallel select between: %w", err)
-	}
-	return rt.stitchCompressed(positionDesc(out, in.N()), in.N(), results)
+	return rt.parSelectWith(in, parts, out, betweenKernel(lo, hi, style), "select between")
 }
 
 // Project is the morsel-parallel form of the sequential Project: the position

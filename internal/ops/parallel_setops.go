@@ -131,10 +131,76 @@ func (rt Runtime) Merge(a, b *columns.Column, out columns.FormatDesc) (*columns.
 	return rt.stitchCompressed(out, a.N()+b.N(), results)
 }
 
-// intersectValues is the slice form of the IntersectSorted kernel; it must
-// mirror the streamed operator element for element (including duplicate
-// handling) so the concatenated ranges stay byte-identical.
+// intersectValues is the slice form of the IntersectSorted kernel; its
+// output must equal the streamed operator's element for element (including
+// duplicate handling) so the concatenated ranges stay byte-identical. It
+// takes the branch-free bitmap kernel when that applies and the two-pointer
+// merge otherwise.
 func intersectValues(a, b []uint64) []uint64 {
+	if dst, ok := intersectBitmap(a, b); ok {
+		return dst
+	}
+	return intersectMerge(a, b)
+}
+
+// bitmapSpanPerValue bounds the value span the bitmap intersection accepts,
+// per element of the shorter input: the bitmap then costs at most half a
+// word per element to clear.
+const bitmapSpanPerValue = 32
+
+// intersectBitmap marks the shorter input in a bitmap over its value span
+// [lo, hi] and filters the longer input through it, with no data-dependent
+// branch per element. It applies (ok) only when both inputs are strictly
+// increasing — checked inline while building and probing — and the span is
+// at most bitmapSpanPerValue times the shorter input's length. Under those
+// conditions every common value occurs once in each input, so the result
+// equals the merge's; duplicates, which the merge emits pairwise, and wide
+// sparse spans are left to intersectMerge.
+func intersectBitmap(a, b []uint64) (dst []uint64, ok bool) {
+	short, long := a, b
+	if len(short) > len(long) {
+		short, long = long, short
+	}
+	if len(short) == 0 {
+		return []uint64{}, true
+	}
+	lo, hi := short[0], short[len(short)-1]
+	if hi < lo || hi-lo > bitmapSpanPerValue*uint64(len(short)) {
+		return nil, false
+	}
+	span := hi - lo
+	// One spare bit past the span stays clear: probes outside [lo, hi]
+	// clamp onto it.
+	bm := make([]uint64, (span+1)/64+1)
+	prev := lo
+	for i, v := range short {
+		if i > 0 && v <= prev {
+			return nil, false
+		}
+		prev = v
+		d := v - lo
+		bm[d/64] |= 1 << (d % 64)
+	}
+	// Every output value is a distinct element of short, so the cursor
+	// stays below len(short) and the unconditional write at it below
+	// len(short)+1.
+	dst = make([]uint64, len(short)+1)
+	k := 0
+	for i, v := range long {
+		if i > 0 && v <= prev {
+			return nil, false
+		}
+		prev = v
+		d := min(v-lo, span+1)
+		dst[k] = v
+		k += int(bm[d/64] >> (d % 64) & 1)
+	}
+	return dst[:k], true
+}
+
+// intersectMerge is the two-pointer merge form of intersectValues, which
+// also handles duplicates and unbounded value spans.
+func intersectMerge(a, b []uint64) []uint64 {
 	dst := make([]uint64, 0, min(len(a), len(b))/4+16)
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {

@@ -2,7 +2,7 @@ package ops
 
 import (
 	"fmt"
-	"math/bits"
+	"slices"
 
 	"morphstore/internal/bitutil"
 	"morphstore/internal/columns"
@@ -18,82 +18,40 @@ import (
 // and the outputs merge exactly like the generic drivers': position lists
 // stitch in partition order, partial sums add modulo 2^64.
 
-// parSwarOK reports whether the per-partition SWAR select kernels cover the
-// input column and predicate constant: a static BP column with a preset
-// word-parallel width whose constant fits the packed fields. The degenerate
-// cases the sequential direct operator rewrites (width 0, constant beyond
-// the field range) produce the same position stream as the generic kernels,
-// so the parallel dispatcher routes them to the generic morsel path instead.
-func parSwarOK(in *columns.Column, val uint64) bool {
-	b := uint(in.Desc().Bits)
-	return in.Desc().Kind == columns.StaticBP && b > 0 &&
-		bitutil.SwarWidthOK(b) && val <= bitutil.Mask(b)
+// parSwarOK reports whether the per-partition SWAR select kernel covers the
+// input column: a static BP column with a non-zero word-parallel width. The
+// all-zero width-0 column has no packed words, so the parallel dispatcher
+// routes it to the generic morsel path, which produces the same positions.
+func parSwarOK(in *columns.Column) bool {
+	return CanSelectDirect(in) && in.Desc().Bits > 0
 }
 
-// parSelectSwar evaluates the comparison predicate directly on the packed
-// words of each partition of a static BP column (SelectStaticBPDirect per
-// morsel) and stitches the per-partition position lists.
-func (rt Runtime) parSelectSwar(in *columns.Column, parts []formats.Partition, op bitutil.CmpKind, val uint64, out columns.FormatDesc) (*columns.Column, error) {
-	b := uint(in.Desc().Bits)
-	yb := bitutil.Broadcast(val, b)
+// parSelectSwar evaluates the SWAR predicate directly on the packed words of
+// each partition of a static BP column, each worker emitting straight into
+// its partition's position list, and stitches the lists in partition order.
+// Partition starts and emitChunk are multiples of 64 elements, so every
+// chunk handed to the section kernel starts on a packed-word boundary.
+func (rt Runtime) parSelectSwar(in *columns.Column, parts []formats.Partition, p bitutil.SwarPred, out columns.FormatDesc, what string) (*columns.Column, error) {
+	words, err := swarWords(in)
+	if err != nil {
+		return nil, err
+	}
 	results := make([][]uint64, len(parts))
-	err := rt.runParts(parts, func(_, i int, pt formats.Partition) error {
-		results[i] = swarSelectSection(in, pt, func(word uint64) uint64 {
-			return bitutil.CmpPackedWord(word, yb, b, op)
-		})
+	err = rt.runParts(parts, func(_, i int, pt formats.Partition) error {
+		res := make([]uint64, 0, pt.Count/8+16)
+		for start, end := pt.Start, pt.Start+pt.Count; start < end; start += emitChunk {
+			count := min(emitChunk, end-start)
+			res = slices.Grow(res, count)
+			k := swarSelectKernel(words, &p, start, count, res[len(res):len(res)+count])
+			res = res[:len(res)+k]
+		}
+		results[i] = res
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("ops: parallel swar select: %w", err)
+		return nil, fmt.Errorf("ops: parallel %s: %w", what, err)
 	}
 	return rt.stitchCompressed(positionDesc(out, in.N()), in.N(), results)
-}
-
-// parSelectBetweenSwar is the range form of parSelectSwar, combining two
-// SWAR comparison masks per packed word.
-func (rt Runtime) parSelectBetweenSwar(in *columns.Column, parts []formats.Partition, lo, hi uint64, out columns.FormatDesc) (*columns.Column, error) {
-	b := uint(in.Desc().Bits)
-	// Values above the packable range can never match a width-b field.
-	if hi > bitutil.Mask(b) {
-		hi = bitutil.Mask(b)
-	}
-	ylo := bitutil.Broadcast(lo, b)
-	yhi := bitutil.Broadcast(hi, b)
-	results := make([][]uint64, len(parts))
-	err := rt.runParts(parts, func(_, i int, pt formats.Partition) error {
-		results[i] = swarSelectSection(in, pt, func(word uint64) uint64 {
-			return bitutil.CmpPackedWord(word, ylo, b, bitutil.CmpGe) &
-				bitutil.CmpPackedWord(word, yhi, b, bitutil.CmpLe)
-		})
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("ops: parallel swar select between: %w", err)
-	}
-	return rt.stitchCompressed(positionDesc(out, in.N()), in.N(), results)
-}
-
-// swarSelectSection collects the positions whose field matches mask over the
-// packed words covering one partition. Partition starts are multiples of 64
-// elements, so they always coincide with a packed-word boundary.
-func swarSelectSection(in *columns.Column, pt formats.Partition, mask func(word uint64) uint64) []uint64 {
-	b := uint(in.Desc().Bits)
-	per := int(64 / b)
-	words := in.MainWords()
-	end := pt.Start + pt.Count
-	local := make([]uint64, 0, pt.Count/8+16)
-	for wi := pt.Start / per; wi*per < end; wi++ {
-		base := wi * per
-		valid := end - base
-		m := mask(words[wi])
-		if valid < per {
-			m &= (uint64(1) << uint(valid)) - 1
-		}
-		for ; m != 0; m &= m - 1 {
-			local = append(local, uint64(base+bits.TrailingZeros64(m)))
-		}
-	}
-	return local
 }
 
 // parSumStaticBPDirect sums each partition directly on its packed word range

@@ -34,78 +34,15 @@ func SelectStaticBPDirect(in *columns.Column, op bitutil.CmpKind, val uint64, ou
 	if !CanSelectDirect(in) {
 		return nil, fmt.Errorf("ops: direct select unsupported for %v", in.Desc())
 	}
-	w, err := formats.NewWriter(positionDesc(out, in.N()), in.N())
-	if err != nil {
-		return nil, err
-	}
 	b := uint(in.Desc().Bits)
-	n := in.N()
-	stage := make([]uint64, blockBuf+64)
-
-	if b == 0 { // all-zero column: every element is 0
-		if op.Eval(0, val) {
-			k := 0
-			for i := 0; i < n; i++ {
-				stage[k] = uint64(i)
-				k++
-				if k == blockBuf {
-					if err := w.Write(stage[:k]); err != nil {
-						return nil, err
-					}
-					k = 0
-				}
-			}
-			if err := w.Write(stage[:k]); err != nil {
-				return nil, err
-			}
-		}
-		return w.Close()
+	if b == 0 { // all-zero column: no packed words to scan
+		return Select(in, op, val, out, vector.Scalar)
 	}
-
-	// A predicate constant wider than the packed width decides the result
-	// for every field: fields are < 2^b <= val.
-	if val > bitutil.Mask(b) {
-		switch op {
-		case bitutil.CmpLt, bitutil.CmpLe, bitutil.CmpNe:
-			return Select(in, bitutil.CmpLe, bitutil.Mask(b), out, vector.Scalar) // all match
-		default: // Eq, Gt, Ge: nothing matches
-			return w.Close()
-		}
-	}
-
-	per := int(64 / b)
-	yb := bitutil.Broadcast(val, b)
-	words := in.MainWords()
-	k := 0
-	for wi, word := range words {
-		base := wi * per
-		valid := n - base
-		if valid <= 0 {
-			break
-		}
-		m := bitutil.CmpPackedWord(word, yb, b, op)
-		if valid < per {
-			m &= (uint64(1) << uint(valid)) - 1
-		}
-		for ; m != 0; m &= m - 1 {
-			stage[k] = uint64(base + bits.TrailingZeros64(m))
-			k++
-		}
-		if k >= blockBuf {
-			if err := w.Write(stage[:k]); err != nil {
-				return nil, err
-			}
-			k = 0
-		}
-	}
-	if err := w.Write(stage[:k]); err != nil {
-		return nil, err
-	}
-	return w.Close()
+	return swarSelect(in, bitutil.NewSwarCmp(b, op, val), out)
 }
 
 // SelectBetweenStaticBPDirect evaluates lo <= element <= hi directly on the
-// packed words by combining two SWAR comparison masks.
+// packed words, both window tests combined in one SWAR predicate.
 func SelectBetweenStaticBPDirect(in *columns.Column, lo, hi uint64, out columns.FormatDesc) (*columns.Column, error) {
 	if err := checkCols(in); err != nil {
 		return nil, err
@@ -114,61 +51,73 @@ func SelectBetweenStaticBPDirect(in *columns.Column, lo, hi uint64, out columns.
 		return nil, fmt.Errorf("ops: direct select unsupported for %v", in.Desc())
 	}
 	b := uint(in.Desc().Bits)
-	if b == 0 {
-		if lo == 0 { // all-zero column within [lo, hi] iff lo == 0
-			return SelectBetween(in, lo, hi, out, vector.Scalar)
-		}
-		w, err := formats.NewWriter(out, 0)
-		if err != nil {
-			return nil, err
-		}
-		return w.Close()
+	if b == 0 { // all-zero column: no packed words to scan
+		return SelectBetween(in, lo, hi, out, vector.Scalar)
 	}
-	w, err := formats.NewWriter(positionDesc(out, in.N()), in.N())
+	return swarSelect(in, bitutil.NewSwarBetween(b, lo, hi), out)
+}
+
+// swarSelect is the sequential driver of the SWAR section kernel: it sweeps
+// the packed words in blockBuf-element chunks and recompresses the matching
+// positions.
+func swarSelect(in *columns.Column, p bitutil.SwarPred, out columns.FormatDesc) (*columns.Column, error) {
+	words, err := swarWords(in)
 	if err != nil {
 		return nil, err
 	}
 	n := in.N()
-	per := int(64 / b)
-	// Values above the packable range can never match a width-b field.
-	maxv := bitutil.Mask(b)
-	if lo > maxv {
-		return w.Close()
-	}
-	if hi > maxv {
-		hi = maxv
-	}
-	ylo := bitutil.Broadcast(lo, b)
-	yhi := bitutil.Broadcast(hi, b)
-	words := in.MainWords()
-	stage := make([]uint64, blockBuf+64)
-	k := 0
-	for wi, word := range words {
-		base := wi * per
-		valid := n - base
-		if valid <= 0 {
-			break
-		}
-		m := bitutil.CmpPackedWord(word, ylo, b, bitutil.CmpGe) &
-			bitutil.CmpPackedWord(word, yhi, b, bitutil.CmpLe)
-		if valid < per {
-			m &= (uint64(1) << uint(valid)) - 1
-		}
-		for ; m != 0; m &= m - 1 {
-			stage[k] = uint64(base + bits.TrailingZeros64(m))
-			k++
-		}
-		if k >= blockBuf {
-			if err := w.Write(stage[:k]); err != nil {
-				return nil, err
-			}
-			k = 0
-		}
-	}
-	if err := w.Write(stage[:k]); err != nil {
+	w, err := formats.NewWriter(positionDesc(out, n), n)
+	if err != nil {
 		return nil, err
 	}
+	stage := make([]uint64, blockBuf)
+	for start := 0; start < n; start += blockBuf {
+		k := swarSelectKernel(words, &p, start, min(blockBuf, n-start), stage)
+		if err := w.Write(stage[:k]); err != nil {
+			return nil, err
+		}
+	}
 	return w.Close()
+}
+
+// swarWords returns the packed words of a static BP column, checked to hold
+// all of its fields.
+func swarWords(in *columns.Column) ([]uint64, error) {
+	words := in.MainWords()
+	if len(words) < bitutil.PackedWords(in.N(), uint(in.Desc().Bits)) {
+		return nil, fmt.Errorf("ops: %w: static BP payload shorter than its %d fields", formats.ErrCorrupt, in.N())
+	}
+	return words, nil
+}
+
+// swarSelectKernel writes to stage the positions of the fields matching p
+// among elements [start, start+count) of the packed words and returns their
+// count; stage must hold count entries. start must be a multiple of 64,
+// which is a packed-word boundary for every SWAR width. It is the one
+// section kernel behind the sequential and the morsel-parallel direct
+// selects.
+func swarSelectKernel(words []uint64, p *bitutil.SwarPred, start, count int, stage []uint64) int {
+	sh := p.Shift()
+	per := 64 >> sh
+	wi := start >> (6 - sh)
+	base := uint64(start)
+	k := 0
+	for end := wi + count>>(6-sh); wi < end; wi++ {
+		for m := p.Match(words[wi]); m != 0; m &= m - 1 {
+			stage[k] = base + uint64(bits.TrailingZeros64(m)>>sh)
+			k++
+		}
+		base += uint64(per)
+	}
+	if rest := count & (per - 1); rest > 0 {
+		// Partial tail word: drop the fields past the range.
+		m := p.Match(words[wi]) & (uint64(1)<<(uint(rest)<<sh) - 1)
+		for ; m != 0; m &= m - 1 {
+			stage[k] = base + uint64(bits.TrailingZeros64(m)>>sh)
+			k++
+		}
+	}
+	return k
 }
 
 // SumStaticBPDirect sums a static BP column directly on the packed words via
