@@ -3,9 +3,12 @@
 //
 // Each figure-level benchmark executes the complete experiment series per
 // iteration (all format combinations, or all 13 SSB queries) and reports
-// auxiliary metrics (memory footprints) through b.ReportMetric, so a single
+// auxiliary metrics (memory footprints; for the SSB figures also the summed
+// engine-measured query runtime) through b.ReportMetric, so a single
 // `go test -bench=. -benchmem` regenerates every reported series at bench
-// scale. The paper-style printed tables come from `go run ./cmd/msrepro`.
+// scale. The SSB figures run through the same driver as msrepro
+// (internal/ssb), which checks every query result against the reference.
+// The paper-style printed tables come from `go run ./cmd/msrepro`.
 package morphstore
 
 import (
@@ -13,13 +16,13 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"morphstore/internal/bitutil"
 	"morphstore/internal/columns"
 	"morphstore/internal/core"
 	"morphstore/internal/datagen"
 	"morphstore/internal/formats"
-	"morphstore/internal/monetsim"
 	"morphstore/internal/morph"
 	"morphstore/internal/ops"
 	"morphstore/internal/ssb"
@@ -121,14 +124,10 @@ func BenchmarkFigure6SimpleQuery(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				c := core.UncompressedConfig(vector.Vec512)
-				if cfg.inter != nil {
-					c.Inter = cfg.inter
-				}
 				var foot int
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res, err := execPlan(plan, enc, c, 0)
+					res, err := execPlan(plan, enc, 0, WithStyle(Vec512), WithFormats(cfg.inter))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -140,246 +139,116 @@ func BenchmarkFigure6SimpleQuery(b *testing.B) {
 	}
 }
 
-// --- shared SSB setup ----------------------------------------------------
+// --- shared SSB driver ---------------------------------------------------
 
 var (
 	benchSSBOnce sync.Once
-	benchSSBData *ssb.Data
-	benchSSBPlan map[ssb.Query]*core.Plan
+	benchSSB     *ssb.Driver
 	benchSSBErr  error
 )
 
-func getBenchSSB(b *testing.B) (*ssb.Data, map[ssb.Query]*core.Plan) {
-	benchSSBOnce.Do(func() {
-		benchSSBData, benchSSBErr = ssb.Generate(benchSF, 42)
-		if benchSSBErr != nil {
-			return
-		}
-		benchSSBPlan = make(map[ssb.Query]*core.Plan)
-		for _, q := range ssb.Queries {
-			p, err := ssb.BuildPlan(q, benchSSBData.Dicts)
-			if err != nil {
-				benchSSBErr = err
-				return
-			}
-			benchSSBPlan[q] = p
-		}
-	})
+func getBenchSSB(b *testing.B) *ssb.Driver {
+	benchSSBOnce.Do(func() { benchSSB, benchSSBErr = ssb.NewDriver(benchSF, 42, 1) })
 	if benchSSBErr != nil {
 		b.Fatal(benchSSBErr)
 	}
-	return benchSSBData, benchSSBPlan
+	return benchSSB
 }
 
-// runAllQueries executes all 13 queries under the config builder and
-// returns the total footprint.
-func runAllQueries(b *testing.B, db *core.DB, plans map[ssb.Query]*core.Plan,
-	cfg func(*core.Plan) *core.Config) int {
-	foot := 0
-	for _, q := range ssb.Queries {
-		res, err := execPlan(plans[q], db, cfg(plans[q]), 0)
-		if err != nil {
-			b.Fatalf("%s: %v", q, err)
+// benchQueries runs all 13 SSB queries through run per iteration and
+// reports their summed runtime, and their summed footprint when run measures
+// one. A first pass outside the timer resolves the format combinations and
+// builds the baseline's columns.
+func benchQueries(b *testing.B, run func(q ssb.Query) (foot int, t time.Duration, err error)) {
+	all := func() (foot int, rt time.Duration) {
+		for _, q := range ssb.Queries {
+			f, t, err := run(q)
+			if err != nil {
+				b.Fatalf("%s: %v", q, err)
+			}
+			foot += f
+			rt += t
 		}
-		foot += res.Meas.Footprint()
+		return foot, rt
 	}
-	return foot
+	all()
+	b.ResetTimer()
+	var foot int
+	var rt time.Duration
+	for i := 0; i < b.N; i++ {
+		foot, rt = all()
+	}
+	if foot > 0 {
+		b.ReportMetric(float64(foot)/(1<<20), "footprint-MiB")
+	}
+	b.ReportMetric(float64(rt.Microseconds())/1000, "query-ms")
 }
+
+// benchSeries runs the 13 SSB queries under series s through the driver,
+// which prepares each query once and checks its result against the
+// reference.
+func benchSeries(b *testing.B, s ssb.Series) {
+	d := getBenchSSB(b)
+	benchQueries(b, func(q ssb.Query) (int, time.Duration, error) {
+		res, t, err := d.Run(q, s)
+		if err != nil {
+			return 0, 0, err
+		}
+		return res.Meas.Footprint(), t, nil
+	})
+}
+
+// vec512 is the SSB series of format combination f, vectorized, run with
+// the on-the-fly de/re-compression operators.
+func vec512(f ssb.Formats) ssb.Series { return ssb.Series{Formats: f, Style: vector.Vec512} }
 
 // BenchmarkFigure1And9Systems regenerates Figures 1 and 9: one sub-benchmark
 // per system, each iteration running all 13 SSB queries.
 func BenchmarkFigure1And9Systems(b *testing.B) {
-	data, plans := getBenchSSB(b)
-
-	b.Run("monetdb_scalar", func(b *testing.B) {
-		mdb, err := monetsim.NewDB(data.DB, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, q := range ssb.Queries {
-				if _, err := monetsim.Execute(plans[q], mdb); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("monetdb_narrow", func(b *testing.B) {
-		mdb, err := monetsim.NewDB(data.DB, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, q := range ssb.Queries {
-				if _, err := monetsim.Execute(plans[q], mdb); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
+	for _, sys := range []struct {
+		name   string
+		narrow bool
+	}{{"monetdb_scalar", false}, {"monetdb_narrow", true}} {
+		b.Run(sys.name, func(b *testing.B) {
+			d := getBenchSSB(b)
+			benchQueries(b, func(q ssb.Query) (int, time.Duration, error) {
+				t, err := d.RunMonetDB(q, sys.narrow)
+				return 0, t, err
+			})
+		})
+	}
 	b.Run("morphstore_scalar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			runAllQueries(b, data.DB, plans, func(*core.Plan) *core.Config {
-				return core.UncompressedConfig(vector.Scalar)
-			})
-		}
+		benchSeries(b, ssb.Series{Formats: ssb.Uncompressed, Style: vector.Scalar})
 	})
-	b.Run("morphstore_vec512", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			runAllQueries(b, data.DB, plans, func(*core.Plan) *core.Config {
-				return core.UncompressedConfig(vector.Vec512)
-			})
-		}
-	})
+	b.Run("morphstore_vec512", func(b *testing.B) { benchSeries(b, vec512(ssb.Uncompressed)) })
 	b.Run("morphstore_vec512_compressed", func(b *testing.B) {
-		assigns := make(map[ssb.Query]*core.Assignment)
-		encs := make(map[ssb.Query]*core.DB)
-		for _, q := range ssb.Queries {
-			a, err := core.CostBasedAssignment(plans[q], data.DB)
-			if err != nil {
-				b.Fatal(err)
-			}
-			enc, err := data.DB.Encode(a.Base)
-			if err != nil {
-				b.Fatal(err)
-			}
-			assigns[q], encs[q] = a, enc
-		}
-		var foot int
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			foot = 0
-			for _, q := range ssb.Queries {
-				res, err := execPlan(plans[q], encs[q], assigns[q].Config(vector.Vec512, true), 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				foot += res.Meas.Footprint()
-			}
-		}
-		b.ReportMetric(float64(foot)/(1<<20), "footprint-MiB")
+		benchSeries(b, ssb.Series{Formats: ssb.CostBased, Style: vector.Vec512, Specialized: true})
 	})
-}
-
-// benchAssignSeries executes all 13 queries under per-query assignments.
-func benchAssignSeries(b *testing.B, data *ssb.Data, plans map[ssb.Query]*core.Plan,
-	assign func(q ssb.Query) (*core.Assignment, error)) {
-	assigns := make(map[ssb.Query]*core.Assignment)
-	encs := make(map[ssb.Query]*core.DB)
-	for _, q := range ssb.Queries {
-		a, err := assign(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		enc, err := data.DB.Encode(a.Base)
-		if err != nil {
-			b.Fatal(err)
-		}
-		assigns[q], encs[q] = a, enc
-	}
-	var foot int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		foot = 0
-		for _, q := range ssb.Queries {
-			res, err := execPlan(plans[q], encs[q], assigns[q].Config(vector.Vec512, false), 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			foot += res.Meas.Footprint()
-		}
-	}
-	b.ReportMetric(float64(foot)/(1<<20), "footprint-MiB")
-}
-
-// staticAssignFor assigns static BP to every column of the plan.
-func staticAssignFor(p *core.Plan) *core.Assignment {
-	a := core.NewAssignment()
-	for _, name := range p.BaseColumns() {
-		a.Base[name] = columns.StaticBPDesc(0)
-	}
-	for _, name := range p.IntermediateNames() {
-		a.Inter[name] = columns.StaticBPDesc(0)
-	}
-	return a
 }
 
 // BenchmarkFigure7Combinations regenerates Figure 7: the worst,
 // uncompressed, static BP, and best format combinations over all queries.
 func BenchmarkFigure7Combinations(b *testing.B) {
-	data, plans := getBenchSSB(b)
-	bests := make(map[ssb.Query]*core.Assignment)
-	worsts := make(map[ssb.Query]*core.Assignment)
-	for _, q := range ssb.Queries {
-		best, worst, err := core.FootprintSearch(plans[q], data.DB)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bests[q], worsts[q] = best, worst
-	}
-	b.Run("worst", func(b *testing.B) {
-		benchAssignSeries(b, data, plans, func(q ssb.Query) (*core.Assignment, error) { return worsts[q], nil })
-	})
-	b.Run("uncompressed", func(b *testing.B) {
-		benchAssignSeries(b, data, plans, func(q ssb.Query) (*core.Assignment, error) { return core.NewAssignment(), nil })
-	})
-	b.Run("staticbp", func(b *testing.B) {
-		benchAssignSeries(b, data, plans, func(q ssb.Query) (*core.Assignment, error) { return staticAssignFor(plans[q]), nil })
-	})
-	b.Run("best", func(b *testing.B) {
-		benchAssignSeries(b, data, plans, func(q ssb.Query) (*core.Assignment, error) { return bests[q], nil })
-	})
+	b.Run("worst", func(b *testing.B) { benchSeries(b, vec512(ssb.FootprintWorst)) })
+	b.Run("uncompressed", func(b *testing.B) { benchSeries(b, vec512(ssb.Uncompressed)) })
+	b.Run("staticbp", func(b *testing.B) { benchSeries(b, vec512(ssb.StaticBP)) })
+	b.Run("best", func(b *testing.B) { benchSeries(b, vec512(ssb.FootprintBest)) })
 }
 
 // BenchmarkFigure8BaseVsIntermediates regenerates Figure 8: uncompressed vs
 // compressed base columns only vs compressed base and intermediates.
 func BenchmarkFigure8BaseVsIntermediates(b *testing.B) {
-	data, plans := getBenchSSB(b)
-	full := make(map[ssb.Query]*core.Assignment)
-	for _, q := range ssb.Queries {
-		a, err := core.CostBasedAssignment(plans[q], data.DB)
-		if err != nil {
-			b.Fatal(err)
-		}
-		full[q] = a
-	}
-	b.Run("uncompressed", func(b *testing.B) {
-		benchAssignSeries(b, data, plans, func(q ssb.Query) (*core.Assignment, error) { return core.NewAssignment(), nil })
-	})
-	b.Run("base_only", func(b *testing.B) {
-		benchAssignSeries(b, data, plans, func(q ssb.Query) (*core.Assignment, error) {
-			a := core.NewAssignment()
-			for k, v := range full[q].Base {
-				a.Base[k] = v
-			}
-			return a, nil
-		})
-	})
-	b.Run("base_and_intermediates", func(b *testing.B) {
-		benchAssignSeries(b, data, plans, func(q ssb.Query) (*core.Assignment, error) { return full[q], nil })
-	})
+	b.Run("uncompressed", func(b *testing.B) { benchSeries(b, vec512(ssb.Uncompressed)) })
+	b.Run("base_only", func(b *testing.B) { benchSeries(b, vec512(ssb.BaseOnly)) })
+	b.Run("base_and_intermediates", func(b *testing.B) { benchSeries(b, vec512(ssb.CostBased)) })
 }
 
 // BenchmarkFigure10CostModel regenerates Figure 10: footprint of static BP
 // vs the cost-based selection vs the exhaustive best combination.
 func BenchmarkFigure10CostModel(b *testing.B) {
-	data, plans := getBenchSSB(b)
-	b.Run("staticbp", func(b *testing.B) {
-		benchAssignSeries(b, data, plans, func(q ssb.Query) (*core.Assignment, error) { return staticAssignFor(plans[q]), nil })
-	})
-	b.Run("costbased", func(b *testing.B) {
-		benchAssignSeries(b, data, plans, func(q ssb.Query) (*core.Assignment, error) {
-			return core.CostBasedAssignment(plans[q], data.DB)
-		})
-	})
-	b.Run("best", func(b *testing.B) {
-		benchAssignSeries(b, data, plans, func(q ssb.Query) (*core.Assignment, error) {
-			best, _, err := core.FootprintSearch(plans[q], data.DB)
-			return best, err
-		})
-	})
+	b.Run("staticbp", func(b *testing.B) { benchSeries(b, vec512(ssb.StaticBP)) })
+	b.Run("costbased", func(b *testing.B) { benchSeries(b, vec512(ssb.CostBased)) })
+	b.Run("best", func(b *testing.B) { benchSeries(b, vec512(ssb.FootprintBest)) })
 }
 
 // parLevels are the parallelism degrees the morsel/scheduler benchmarks
@@ -529,17 +398,16 @@ func dynBPBaseAssign(p *core.Plan) map[string]columns.FormatDesc {
 // should run >= 2x faster than par1 while producing byte-identical results
 // (TestExecuteParallelismEquivalence proves the identity).
 func BenchmarkParallelSSBQ11(b *testing.B) {
-	data, plans := getBenchSSB(b)
-	plan := plans[ssb.Q11]
-	enc, err := data.DB.Encode(dynBPBaseAssign(plan))
+	d := getBenchSSB(b)
+	plan := d.Plans[ssb.Q11]
+	enc, err := d.Data.DB.Encode(dynBPBaseAssign(plan))
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, par := range benchParLevels {
 		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
-			cfg := core.UncompressedConfig(vector.Vec512)
 			for i := 0; i < b.N; i++ {
-				if _, err := execPlan(plan, enc, cfg, par); err != nil {
+				if _, err := execPlan(plan, enc, par, WithStyle(Vec512)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -551,17 +419,16 @@ func BenchmarkParallelSSBQ11(b *testing.B) {
 // dimension-table select branches: this exercises the concurrent DAG
 // scheduler on top of the morsel-parallel kernels.
 func BenchmarkParallelSSBQ41(b *testing.B) {
-	data, plans := getBenchSSB(b)
-	plan := plans[ssb.Q41]
-	enc, err := data.DB.Encode(dynBPBaseAssign(plan))
+	d := getBenchSSB(b)
+	plan := d.Plans[ssb.Q41]
+	enc, err := d.Data.DB.Encode(dynBPBaseAssign(plan))
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, par := range benchParLevels {
 		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
-			cfg := core.UncompressedConfig(vector.Vec512)
 			for i := 0; i < b.N; i++ {
-				if _, err := execPlan(plan, enc, cfg, par); err != nil {
+				if _, err := execPlan(plan, enc, par, WithStyle(Vec512)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -575,9 +442,9 @@ func BenchmarkParallelSSBQ41(b *testing.B) {
 // stay byte-identical to a sequential run (TestEngineConcurrentExecutes
 // proves the identity).
 func BenchmarkEngineMultiQuery(b *testing.B) {
-	data, plans := getBenchSSB(b)
-	plan := plans[ssb.Q11]
-	enc, err := data.DB.Encode(dynBPBaseAssign(plan))
+	d := getBenchSSB(b)
+	plan := d.Plans[ssb.Q11]
+	enc, err := d.Data.DB.Encode(dynBPBaseAssign(plan))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func main() {
 	flag.Float64Var(&opt.sf, "sf", 0.05, "SSB scale factor (paper: 10)")
 	flag.Int64Var(&opt.seed, "seed", 42, "generator seed")
 	flag.IntVar(&opt.repeats, "repeats", 3, "timing repetitions (minimum is reported)")
-	flag.BoolVar(&opt.full, "full", false, "run the expensive greedy runtime searches of Fig. 7")
+	flag.BoolVar(&opt.full, "full", false, "run the expensive greedy runtime searches (Figs. 1, 7, 9)")
 	flag.Parse()
 
 	experiments := map[string]func(options) error{

@@ -1,174 +1,68 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"time"
 
-	"morphstore/internal/columns"
-	"morphstore/internal/core"
-	"morphstore/internal/monetsim"
 	"morphstore/internal/ssb"
 	"morphstore/internal/vector"
 )
 
-// ssbCache shares one generated SSB instance plus derived artifacts across
-// the experiments of a single msrepro run.
-type ssbCache struct {
-	sf    float64
-	seed  int64
-	data  *ssb.Data
-	plans map[ssb.Query]*core.Plan
-	refs  map[ssb.Query][]ssb.Row
-	// costAssign caches the cost-based format assignment per query.
-	costAssign map[ssb.Query]*core.Assignment
-	// bestFoot/worstFoot cache the exhaustive footprint search per query.
-	bestFoot, worstFoot map[ssb.Query]*core.Assignment
-	mdbWide, mdbNarrow  *monetsim.DB
-}
+// driver is the SSB instance shared by the experiments of one msrepro run.
+var driver *ssb.Driver
 
-var cache *ssbCache
-
-func getSSB(opt options) (*ssbCache, error) {
-	if cache != nil && cache.sf == opt.sf && cache.seed == opt.seed {
-		return cache, nil
-	}
-	fmt.Printf("\ngenerating SSB data at SF %g ...\n", opt.sf)
-	d, err := ssb.Generate(opt.sf, opt.seed)
-	if err != nil {
-		return nil, err
-	}
-	c := &ssbCache{
-		sf: opt.sf, seed: opt.seed, data: d,
-		plans:      make(map[ssb.Query]*core.Plan),
-		refs:       make(map[ssb.Query][]ssb.Row),
-		costAssign: make(map[ssb.Query]*core.Assignment),
-		bestFoot:   make(map[ssb.Query]*core.Assignment),
-		worstFoot:  make(map[ssb.Query]*core.Assignment),
-	}
-	for _, q := range ssb.Queries {
-		p, err := ssb.BuildPlan(q, d.Dicts)
+func getSSB(opt options) (*ssb.Driver, error) {
+	if driver == nil {
+		fmt.Printf("\ngenerating SSB data at SF %g ...\n", opt.sf)
+		d, err := ssb.NewDriver(opt.sf, opt.seed, opt.repeats)
 		if err != nil {
 			return nil, err
 		}
-		c.plans[q] = p
-		r, err := ssb.Reference(q, d)
+		driver = d
+	}
+	return driver, nil
+}
+
+// vec512 is the series of format combination f, vectorized, run with the
+// on-the-fly de/re-compression operators.
+func vec512(f ssb.Formats) ssb.Series { return ssb.Series{Formats: f, Style: vector.Vec512} }
+
+var uncmpScalar = ssb.Series{Formats: ssb.Uncompressed, Style: vector.Scalar}
+
+// compressed is the continuous-compression series of the runtime
+// experiments: the greedy runtime search with -full, the cost model
+// otherwise.
+func compressed(opt options, specialized bool) ssb.Series {
+	s := vec512(ssb.CostBased)
+	if opt.full {
+		s.Formats = ssb.RuntimeBest
+	}
+	s.Specialized = specialized
+	return s
+}
+
+// cell is one query's footprint and min-of-N runtime under one series.
+type cell struct {
+	foot int
+	t    time.Duration
+}
+
+// runSeries runs query q under each series, every result verified.
+func runSeries(d *ssb.Driver, q ssb.Query, series ...ssb.Series) ([]cell, error) {
+	cells := make([]cell, len(series))
+	for i, s := range series {
+		res, t, err := d.Run(q, s)
 		if err != nil {
 			return nil, err
 		}
-		c.refs[q] = r
+		cells[i] = cell{res.Meas.Footprint(), t}
 	}
-	if c.mdbWide, err = monetsim.NewDB(d.DB, false); err != nil {
-		return nil, err
-	}
-	if c.mdbNarrow, err = monetsim.NewDB(d.DB, true); err != nil {
-		return nil, err
-	}
-	cache = c
-	return c, nil
-}
-
-// prepare compiles the query once on a single-worker engine over db. The
-// paper's figures measure the sequential operator-at-a-time model, so the
-// reproduction pins the budget to 1 (per-operator timings would otherwise
-// include scheduler contention on multi-core hosts).
-func (c *ssbCache) prepare(q ssb.Query, db *core.DB, cfg *core.Config) (*core.Prepared, error) {
-	eng := core.NewEngine(db, core.WithParallelism(1))
-	return eng.Prepare(c.plans[q], core.WithConfig(cfg))
-}
-
-// verified executes the prepared query and checks the result against the
-// reference.
-func (c *ssbCache) verified(q ssb.Query, pq *core.Prepared) (*core.Result, error) {
-	res, err := pq.Execute(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	got, err := ssb.ExtractResult(q, res)
-	if err != nil {
-		return nil, err
-	}
-	if !ssb.RowsEqual(got, c.refs[q]) {
-		return nil, fmt.Errorf("ssb %s: engine result differs from reference", q)
-	}
-	return res, nil
-}
-
-// timedRun reports the minimum runtime (engine-measured operator time) of
-// the configuration over opt.repeats runs, verifying the first. The plan is
-// prepared once and executed repeatedly — the prepared-query pattern.
-func (c *ssbCache) timedRun(opt options, q ssb.Query, db *core.DB, cfg *core.Config) (*core.Result, time.Duration, error) {
-	pq, err := c.prepare(q, db, cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	res, err := c.verified(q, pq)
-	if err != nil {
-		return nil, 0, err
-	}
-	best := res.Meas.Runtime
-	for i := 1; i < opt.repeats; i++ {
-		r, err := pq.Execute(context.Background())
-		if err != nil {
-			return nil, 0, err
-		}
-		if r.Meas.Runtime < best {
-			best = r.Meas.Runtime
-		}
-	}
-	return res, best, nil
-}
-
-// costBased returns (cached) the cost-model assignment of a query.
-func (c *ssbCache) costBased(q ssb.Query) (*core.Assignment, error) {
-	if a, ok := c.costAssign[q]; ok {
-		return a, nil
-	}
-	a, err := core.CostBasedAssignment(c.plans[q], c.data.DB)
-	if err != nil {
-		return nil, err
-	}
-	c.costAssign[q] = a
-	return a, nil
-}
-
-// footSearch returns (cached) the exhaustive per-column footprint search.
-func (c *ssbCache) footSearch(q ssb.Query) (best, worst *core.Assignment, err error) {
-	if b, ok := c.bestFoot[q]; ok {
-		return b, c.worstFoot[q], nil
-	}
-	b, w, err := core.FootprintSearch(c.plans[q], c.data.DB)
-	if err != nil {
-		return nil, nil, err
-	}
-	c.bestFoot[q], c.worstFoot[q] = b, w
-	return b, w, nil
-}
-
-// staticAssign assigns static BP to every column of the plan.
-func staticAssign(p *core.Plan) *core.Assignment {
-	a := core.NewAssignment()
-	for _, name := range p.BaseColumns() {
-		a.Base[name] = columns.StaticBPDesc(0)
-	}
-	for _, name := range p.IntermediateNames() {
-		a.Inter[name] = columns.StaticBPDesc(0)
-	}
-	return a
-}
-
-// runAssign executes a query under a full assignment.
-func (c *ssbCache) runAssign(opt options, q ssb.Query, a *core.Assignment, style vector.Style, specialized bool) (*core.Result, time.Duration, error) {
-	enc, err := c.data.DB.Encode(a.Base)
-	if err != nil {
-		return nil, 0, err
-	}
-	return c.timedRun(opt, q, enc, a.Config(style, specialized))
+	return cells, nil
 }
 
 // runFig9 regenerates Figure 9: per-query runtimes of the five systems.
 func runFig9(opt options) error {
-	c, err := getSSB(opt)
+	d, err := getSSB(opt)
 	if err != nil {
 		return err
 	}
@@ -177,48 +71,21 @@ func runFig9(opt options) error {
 		"MonetDB", "MS scalar", "MS vec512", "MS vec+compr", "MonetDB nrw")
 	sums := make([]float64, 5)
 	for _, q := range ssb.Queries {
-		row := make([]float64, 5)
-
-		// MonetDB-style baseline, wide.
-		t, err := timeMonet(opt, c, q, c.mdbWide)
+		// MorphStore scalar and vectorized uncompressed, then vectorized
+		// with continuous compression.
+		cells, err := runSeries(d, q, uncmpScalar, vec512(ssb.Uncompressed), compressed(opt, true))
 		if err != nil {
 			return err
 		}
-		row[0] = ms(t)
-
-		// MorphStore scalar, uncompressed.
-		_, ts, err := c.timedRun(opt, q, c.data.DB, core.UncompressedConfig(vector.Scalar))
+		tWide, err := d.RunMonetDB(q, false)
 		if err != nil {
 			return err
 		}
-		row[1] = ms(ts)
-
-		// MorphStore vectorized, uncompressed.
-		_, tv, err := c.timedRun(opt, q, c.data.DB, core.UncompressedConfig(vector.Vec512))
+		tNarrow, err := d.RunMonetDB(q, true)
 		if err != nil {
 			return err
 		}
-		row[2] = ms(tv)
-
-		// MorphStore vectorized + continuous compression (cost-based
-		// formats; greedy search with -full).
-		assign, err := c.bestRuntimeAssign(opt, q)
-		if err != nil {
-			return err
-		}
-		_, tc, err := c.runAssign(opt, q, assign, vector.Vec512, true)
-		if err != nil {
-			return err
-		}
-		row[3] = ms(tc)
-
-		// MonetDB-style baseline, narrow types.
-		tn, err := timeMonet(opt, c, q, c.mdbNarrow)
-		if err != nil {
-			return err
-		}
-		row[4] = ms(tn)
-
+		row := []float64{ms(tWide), ms(cells[0].t), ms(cells[1].t), ms(cells[2].t), ms(tNarrow)}
 		fmt.Printf("%-6s %12.2f %12.2f %12.2f %12.2f %12.2f\n",
 			q, row[0], row[1], row[2], row[3], row[4])
 		for i, v := range row {
@@ -232,45 +99,10 @@ func runFig9(opt options) error {
 	return nil
 }
 
-// bestRuntimeAssign picks the continuous-compression configuration for the
-// runtime experiments: greedy search with -full, cost-based otherwise.
-func (c *ssbCache) bestRuntimeAssign(opt options, q ssb.Query) (*core.Assignment, error) {
-	if opt.full {
-		return core.RuntimeGreedySearch(c.plans[q], c.data.DB, vector.Vec512, true, false, opt.repeats)
-	}
-	return c.costBased(q)
-}
-
-// timeMonet times the baseline engine on a query, verifying its result.
-func timeMonet(opt options, c *ssbCache, q ssb.Query, db *monetsim.DB) (time.Duration, error) {
-	res, err := monetsim.Execute(c.plans[q], db)
-	if err != nil {
-		return 0, err
-	}
-	got, err := ssb.ExtractRows(q, res.Cols)
-	if err != nil {
-		return 0, err
-	}
-	if !ssb.RowsEqual(got, c.refs[q]) {
-		return 0, fmt.Errorf("monetsim %s: result differs from reference", q)
-	}
-	best := res.Runtime
-	for i := 1; i < opt.repeats; i++ {
-		r, err := monetsim.Execute(c.plans[q], db)
-		if err != nil {
-			return 0, err
-		}
-		if r.Runtime < best {
-			best = r.Runtime
-		}
-	}
-	return best, nil
-}
-
 // runFig1 regenerates Figure 1: the average over all 13 queries of the four
 // headline systems.
 func runFig1(opt options) error {
-	c, err := getSSB(opt)
+	d, err := getSSB(opt)
 	if err != nil {
 		return err
 	}
@@ -278,32 +110,20 @@ func runFig1(opt options) error {
 	var tMonet, tScalar, tVec, tCompr time.Duration
 	var fUncompr, fCompr int
 	for _, q := range ssb.Queries {
-		t, err := timeMonet(opt, c, q, c.mdbWide)
+		t, err := d.RunMonetDB(q, false)
 		if err != nil {
 			return err
 		}
 		tMonet += t
-		_, ts, err := c.timedRun(opt, q, c.data.DB, core.UncompressedConfig(vector.Scalar))
+		cells, err := runSeries(d, q, uncmpScalar, vec512(ssb.Uncompressed), compressed(opt, true))
 		if err != nil {
 			return err
 		}
-		tScalar += ts
-		resV, tv, err := c.timedRun(opt, q, c.data.DB, core.UncompressedConfig(vector.Vec512))
-		if err != nil {
-			return err
-		}
-		tVec += tv
-		assign, err := c.bestRuntimeAssign(opt, q)
-		if err != nil {
-			return err
-		}
-		resC, tc, err := c.runAssign(opt, q, assign, vector.Vec512, true)
-		if err != nil {
-			return err
-		}
-		tCompr += tc
-		fUncompr += resV.Meas.Footprint()
-		fCompr += resC.Meas.Footprint()
+		tScalar += cells[0].t
+		tVec += cells[1].t
+		tCompr += cells[2].t
+		fUncompr += cells[1].foot
+		fCompr += cells[2].foot
 	}
 	rows := []struct {
 		name string
@@ -326,7 +146,7 @@ func runFig1(opt options) error {
 // runFig7 regenerates Figure 7: worst / uncompressed / static BP / best
 // format combinations per query, for footprint and runtime.
 func runFig7(opt options) error {
-	c, err := getSSB(opt)
+	d, err := getSSB(opt)
 	if err != nil {
 		return err
 	}
@@ -336,48 +156,15 @@ func runFig7(opt options) error {
 		"worst[ms]", "uncmp[ms]", "stat[ms]", "best[ms]")
 	var fw, fu, fs, fb, tw, tu, tss, tb float64
 	for _, q := range ssb.Queries {
-		best, worst, err := c.footSearch(q)
+		// The footprint "best" is the exhaustive search result; the runtime
+		// "best" is the faster of it and the runtime-driven combination.
+		cells, err := runSeries(d, q, vec512(ssb.FootprintWorst), vec512(ssb.Uncompressed),
+			vec512(ssb.StaticBP), vec512(ssb.FootprintBest), compressed(opt, false))
 		if err != nil {
 			return err
 		}
-		static := staticAssign(c.plans[q])
-		uncmp := core.NewAssignment()
-
-		type cell struct {
-			foot int
-			t    time.Duration
-		}
-		run := func(a *core.Assignment) (cell, error) {
-			res, t, err := c.runAssign(opt, q, a, vector.Vec512, false)
-			if err != nil {
-				return cell{}, err
-			}
-			return cell{res.Meas.Footprint(), t}, nil
-		}
-		var wc, uc, sc, bc cell
-		if wc, err = run(worst); err != nil {
-			return err
-		}
-		if uc, err = run(uncmp); err != nil {
-			return err
-		}
-		if sc, err = run(static); err != nil {
-			return err
-		}
-		// For the runtime "best" use the greedy/cost-based assignment; for
-		// the footprint "best" the exhaustive search result.
-		if bc, err = run(best); err != nil {
-			return err
-		}
-		rtAssign, err := c.bestRuntimeAssign(opt, q)
-		if err != nil {
-			return err
-		}
-		_, bt, err := c.runAssign(opt, q, rtAssign, vector.Vec512, false)
-		if err != nil {
-			return err
-		}
-		if bt < bc.t {
+		wc, uc, sc, bc := cells[0], cells[1], cells[2], cells[3]
+		if bt := cells[4].t; bt < bc.t {
 			bc.t = bt
 		}
 
@@ -403,7 +190,7 @@ func runFig7(opt options) error {
 // runFig8 regenerates Figure 8: no compression vs compressed base columns
 // only vs compressed base + intermediates.
 func runFig8(opt options) error {
-	c, err := getSSB(opt)
+	d, err := getSSB(opt)
 	if err != nil {
 		return err
 	}
@@ -412,43 +199,19 @@ func runFig8(opt options) error {
 		"uncmp[MiB]", "base[MiB]", "b+int[MiB]", "uncmp[ms]", "base[ms]", "b+int[ms]")
 	var f0, f1, f2, t0, t1, t2 float64
 	for _, q := range ssb.Queries {
-		full, err := c.costBased(q)
+		cells, err := runSeries(d, q, vec512(ssb.Uncompressed), vec512(ssb.BaseOnly), vec512(ssb.CostBased))
 		if err != nil {
 			return err
 		}
-		baseOnly := core.NewAssignment()
-		for k, v := range full.Base {
-			baseOnly.Base[k] = v
-		}
-		uncmp := core.NewAssignment()
-
-		run := func(a *core.Assignment) (int, time.Duration, error) {
-			res, t, err := c.runAssign(opt, q, a, vector.Vec512, false)
-			if err != nil {
-				return 0, 0, err
-			}
-			return res.Meas.Footprint(), t, nil
-		}
-		fu, tu, err := run(uncmp)
-		if err != nil {
-			return err
-		}
-		fb, tb, err := run(baseOnly)
-		if err != nil {
-			return err
-		}
-		fi, ti, err := run(full)
-		if err != nil {
-			return err
-		}
+		u, b, i := cells[0], cells[1], cells[2]
 		fmt.Printf("%-6s | %11.2f %11.2f %11.2f | %9.2f %9.2f %9.2f\n",
-			q, mib(fu), mib(fb), mib(fi), ms(tu), ms(tb), ms(ti))
-		f0 += mib(fu)
-		f1 += mib(fb)
-		f2 += mib(fi)
-		t0 += ms(tu)
-		t1 += ms(tb)
-		t2 += ms(ti)
+			q, mib(u.foot), mib(b.foot), mib(i.foot), ms(u.t), ms(b.t), ms(i.t))
+		f0 += mib(u.foot)
+		f1 += mib(b.foot)
+		f2 += mib(i.foot)
+		t0 += ms(u.t)
+		t1 += ms(b.t)
+		t2 += ms(i.t)
 	}
 	fmt.Printf("%-6s | %11.2f %11.2f %11.2f | %9.2f %9.2f %9.2f\n",
 		"avg", f0/13, f1/13, f2/13, t0/13, t1/13, t2/13)
@@ -460,7 +223,7 @@ func runFig8(opt options) error {
 // runFig10 regenerates Figure 10: footprint of static BP vs the cost-based
 // selection vs the actual best combination.
 func runFig10(opt options) error {
-	c, err := getSSB(opt)
+	d, err := getSSB(opt)
 	if err != nil {
 		return err
 	}
@@ -468,38 +231,15 @@ func runFig10(opt options) error {
 	fmt.Printf("%-6s %14s %14s %14s\n", "query", "staticBP [MiB]", "costbased[MiB]", "best [MiB]")
 	var fs, fc, fb float64
 	for _, q := range ssb.Queries {
-		static := staticAssign(c.plans[q])
-		cost, err := c.costBased(q)
+		cells, err := runSeries(d, q, vec512(ssb.StaticBP), vec512(ssb.CostBased), vec512(ssb.FootprintBest))
 		if err != nil {
 			return err
 		}
-		best, _, err := c.footSearch(q)
-		if err != nil {
-			return err
-		}
-		run := func(a *core.Assignment) (int, error) {
-			res, _, err := c.runAssign(opt, q, a, vector.Vec512, false)
-			if err != nil {
-				return 0, err
-			}
-			return res.Meas.Footprint(), nil
-		}
-		s, err := run(static)
-		if err != nil {
-			return err
-		}
-		co, err := run(cost)
-		if err != nil {
-			return err
-		}
-		b, err := run(best)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-6s %14.2f %14.2f %14.2f\n", q, mib(s), mib(co), mib(b))
-		fs += mib(s)
-		fc += mib(co)
-		fb += mib(b)
+		s, c, b := mib(cells[0].foot), mib(cells[1].foot), mib(cells[2].foot)
+		fmt.Printf("%-6s %14.2f %14.2f %14.2f\n", q, s, c, b)
+		fs += s
+		fc += c
+		fb += b
 	}
 	fmt.Printf("%-6s %14.2f %14.2f %14.2f\n", "avg", fs/13, fc/13, fb/13)
 	fmt.Println("\npaper shape: cost-based selection is virtually equal to the optimum.")

@@ -166,10 +166,6 @@ func WithUniformFormat(d FormatDesc) Option { return core.WithUniformFormat(d) }
 // Prepare.
 func WithCostBasedFormats() Option { return core.WithCostBasedFormats() }
 
-// WithConfig adopts a Config (intermediate formats, style, specialized,
-// AutoMorph, Keep) as one block of prepare-time choices. Applies to Prepare.
-func WithConfig(cfg *Config) Option { return core.WithConfig(cfg) }
-
 // WithOutput sets the output format of a one-off operator call (every
 // output of dual-output operators). Defaults to Uncompressed. Applies to
 // operator calls.

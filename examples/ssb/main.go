@@ -85,7 +85,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if !rowsEqual(gotU, want) || !rowsEqual(gotC, want) {
+		if !ms.SSBRowsEqual(gotU, want) || !ms.SSBRowsEqual(gotC, want) {
 			log.Fatalf("query %s: engines disagree with reference", q)
 		}
 
@@ -100,21 +100,4 @@ func main() {
 	}
 	fmt.Printf("\naverage runtime: uncompressed %.2f ms, compressed %.2f ms (%.2fx)\n",
 		totU/13, totC/13, totU/totC)
-}
-
-func rowsEqual(a, b []ms.SSBRow) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Sum != b[i].Sum {
-			return false
-		}
-		for k := range a[i].Keys {
-			if a[i].Keys[k] != b[i].Keys[k] {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"morphstore/internal/bitutil"
 	"morphstore/internal/columns"
@@ -13,10 +15,10 @@ import (
 	"morphstore/internal/vector"
 )
 
-// execPlan prepares p on a fresh engine over db at parallelism par (0 = the
-// engine default) under cfg and executes it once.
-func execPlan(p *Plan, db *DB, cfg *Config, par int) (*Result, error) {
-	pr, err := NewEngine(db, WithParallelism(par)).Prepare(p, WithConfig(cfg))
+// execPlan prepares p with the options o on a fresh engine over db at
+// parallelism par (0 = the engine default) and executes it once.
+func execPlan(p *Plan, db *DB, par int, o ...Option) (*Result, error) {
+	pr, err := NewEngine(db, WithParallelism(par)).Prepare(p, o...)
 	if err != nil {
 		return nil, err
 	}
@@ -66,16 +68,17 @@ func TestSimpleQueryAllConfigs(t *testing.T) {
 	db, want := simpleDB(10000, 1)
 	p := simpleQueryPlan(t, 7)
 
-	configs := map[string]*Config{
-		"uncompressed-scalar": UncompressedConfig(vector.Scalar),
-		"uncompressed-vec":    UncompressedConfig(vector.Vec512),
-		"staticbp":            UniformConfig(p, columns.StaticBPDesc(0), vector.Vec512),
-		"dynbp":               UniformConfig(p, columns.DynBPDesc, vector.Vec512),
-		"delta":               UniformConfig(p, columns.DeltaBPDesc, vector.Vec512),
-		"forbp":               UniformConfig(p, columns.ForBPDesc, vector.Vec512),
+	vec := WithStyle(vector.Vec512)
+	configs := map[string][]Option{
+		"uncompressed-scalar": nil,
+		"uncompressed-vec":    {vec},
+		"staticbp":            {WithUniformFormat(columns.StaticBPDesc(0)), vec},
+		"dynbp":               {WithUniformFormat(columns.DynBPDesc), vec},
+		"delta":               {WithUniformFormat(columns.DeltaBPDesc), vec},
+		"forbp":               {WithUniformFormat(columns.ForBPDesc), vec},
 	}
 	for name, cfg := range configs {
-		res, err := execPlan(p, db, cfg, 0)
+		res, err := execPlan(p, db, 0, cfg...)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -106,9 +109,8 @@ func TestSpecializedMatchesGeneric(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, specialized := range []bool{false, true} {
-		cfg := UniformConfig(p, columns.DeltaBPDesc, vector.Vec512)
-		cfg.Specialized = specialized
-		res, err := execPlan(p, encoded, cfg, 0)
+		res, err := execPlan(p, encoded, 0,
+			WithUniformFormat(columns.DeltaBPDesc), WithStyle(vector.Vec512), WithSpecialized(specialized))
 		if err != nil {
 			t.Fatalf("specialized=%v: %v", specialized, err)
 		}
@@ -123,7 +125,7 @@ func TestCompressedFootprintSmaller(t *testing.T) {
 	db, _ := simpleDB(50000, 3)
 	p := simpleQueryPlan(t, 7)
 
-	resU, err := execPlan(p, db, UncompressedConfig(vector.Vec512), 0)
+	resU, err := execPlan(p, db, 0, WithStyle(vector.Vec512))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +136,7 @@ func TestCompressedFootprintSmaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resC, err := execPlan(p, encoded, UniformConfig(p, columns.DynBPDesc, vector.Vec512), 0)
+	resC, err := execPlan(p, encoded, 0, WithUniformFormat(columns.DynBPDesc), WithStyle(vector.Vec512))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,13 +162,11 @@ func TestRandomAccessRestriction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := UncompressedConfig(vector.Scalar)
-	if _, err := execPlan(p, encoded, cfg, 0); err == nil {
+	if _, err := execPlan(p, encoded, 0); err == nil {
 		t.Fatal("project on DynBP data must fail without AutoMorph")
 	}
 	// With AutoMorph the executor inserts an on-the-fly morph.
-	cfg.AutoMorph = true
-	res, err := execPlan(p, encoded, cfg, 0)
+	res, err := execPlan(p, encoded, 0, WithAutoMorph(true))
 	if err != nil {
 		t.Fatalf("AutoMorph execution failed: %v", err)
 	}
@@ -175,8 +175,6 @@ func TestRandomAccessRestriction(t *testing.T) {
 	}
 	// An intermediate consumed via random access must also be rejected when
 	// configured with a non-random-access format.
-	cfg2 := UncompressedConfig(vector.Scalar)
-	cfg2.Inter["r.y"] = columns.DynBPDesc // r.y is a scan, ignored via Inter
 	b := NewBuilder()
 	x := b.Scan("r", "x")
 	sel := b.Select("s", x, bitutil.CmpEq, 7)
@@ -187,15 +185,12 @@ func TestRandomAccessRestriction(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = p2
-	_ = cfg2
 }
 
 func TestResultMustStayUncompressed(t *testing.T) {
 	db, _ := simpleDB(1000, 5)
 	p := simpleQueryPlan(t, 7)
-	cfg := UncompressedConfig(vector.Scalar)
-	cfg.Inter["total"] = columns.DynBPDesc
-	if _, err := execPlan(p, db, cfg, 0); err == nil ||
+	if _, err := execPlan(p, db, 0, WithFormat("total", columns.DynBPDesc)); err == nil ||
 		!strings.Contains(err.Error(), "uncompressed") {
 		t.Fatalf("compressed result column must be rejected, got %v", err)
 	}
@@ -242,7 +237,7 @@ func TestUnknownTableColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := execPlan(p, db, nil, 0); err == nil {
+	if _, err := execPlan(p, db, 0); err == nil {
 		t.Error("unknown table must fail")
 	}
 }
@@ -278,11 +273,11 @@ func TestGroupedQueryPlan(t *testing.T) {
 	}
 
 	for _, cfgName := range []string{"uncompressed", "compressed"} {
-		cfg := UncompressedConfig(vector.Vec512)
+		cfg := []Option{WithStyle(vector.Vec512)}
 		if cfgName == "compressed" {
-			cfg = UniformConfig(p, columns.DynBPDesc, vector.Vec512)
+			cfg = append(cfg, WithUniformFormat(columns.DynBPDesc))
 		}
-		res, err := execPlan(p, db, cfg, 0)
+		res, err := execPlan(p, db, 0, cfg...)
 		if err != nil {
 			t.Fatalf("%s: %v", cfgName, err)
 		}
@@ -315,7 +310,7 @@ func TestFootprintSearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := execPlan(p, enc, a.Config(vector.Vec512, false), 0)
+		res, err := execPlan(p, enc, 0, WithFormats(a.Inter), WithStyle(vector.Vec512))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,7 +353,7 @@ func TestCostBasedAssignmentNearOptimal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := execPlan(p, enc, a.Config(vector.Scalar, false), 0)
+		res, err := execPlan(p, enc, 0, WithFormats(a.Inter))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,7 +377,7 @@ func TestRuntimeGreedySearchRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := execPlan(p, enc, a.Config(vector.Vec512, false), 0)
+	res, err := execPlan(p, enc, 0, WithFormats(a.Inter), WithStyle(vector.Vec512))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,20 +387,10 @@ func TestRuntimeGreedySearchRuns(t *testing.T) {
 	}
 }
 
-func TestUniformConfigRespectsRandomAccess(t *testing.T) {
-	p := simpleQueryPlan(t, 7)
-	cfg := UniformConfig(p, columns.DeltaBPDesc, vector.Scalar)
-	for name, d := range cfg.Inter {
-		if p.RandomAccessed(name) && !formats.HasRandomAccess(d.Kind) {
-			t.Errorf("uniform config assigned %v to randomly accessed %q", d, name)
-		}
-	}
-}
-
 func TestPerOpRuntimes(t *testing.T) {
 	db, _ := simpleDB(20000, 9)
 	p := simpleQueryPlan(t, 7)
-	res, err := execPlan(p, db, UncompressedConfig(vector.Scalar), 0)
+	res, err := execPlan(p, db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,12 +418,35 @@ func TestCalcThroughEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := execPlan(p, db, UncompressedConfig(vector.Vec512), 0)
+	res, err := execPlan(p, db, 0, WithStyle(vector.Vec512))
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, _ := res.Cols["s"].Values()
 	if got[0] != 10+40+90+160 {
 		t.Fatalf("sum = %d", got[0])
+	}
+}
+
+// TestMinOfN: the loop runs at least once, reports the smallest duration
+// and stops at the first error.
+func TestMinOfN(t *testing.T) {
+	ds := []time.Duration{5, 3, 4}
+	calls := 0
+	got, err := MinOfN(len(ds), func() (time.Duration, error) {
+		calls++
+		return ds[calls-1], nil
+	})
+	if err != nil || got != 3 || calls != 3 {
+		t.Fatalf("MinOfN = %v, %v after %d calls; want 3 after 3", got, err, calls)
+	}
+	calls = 0
+	if _, err := MinOfN(0, func() (time.Duration, error) { calls++; return 1, nil }); err != nil || calls != 1 {
+		t.Fatalf("n=0: %d calls, err %v; want 1 call", calls, err)
+	}
+	calls = 0
+	boom := errors.New("boom")
+	if _, err := MinOfN(5, func() (time.Duration, error) { calls++; return 0, boom }); !errors.Is(err, boom) || calls != 1 {
+		t.Fatalf("error run: %d calls, err %v; want 1 call and boom", calls, err)
 	}
 }

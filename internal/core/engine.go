@@ -277,27 +277,6 @@ func WithCostBasedFormats() Option {
 	}}
 }
 
-// WithConfig adopts a Config (intermediate formats, style, specialized,
-// AutoMorph, Keep) as one block of prepare-time choices. Applies to Prepare.
-func WithConfig(cfg *Config) Option {
-	return Option{name: "WithConfig", scope: scopePrepare, apply: func(o *options) {
-		if cfg == nil {
-			return
-		}
-		m := make(map[string]columns.FormatDesc, len(cfg.Inter))
-		for k, v := range cfg.Inter {
-			m[k] = v
-		}
-		o.explicit = m
-		o.uniform = nil
-		o.costBased = false
-		o.style = cfg.Style
-		o.specialized = cfg.Specialized
-		o.autoMorph = cfg.AutoMorph
-		o.keep = cfg.Keep
-	}}
-}
-
 // WithOutput sets the output format of a one-off operator call (every
 // output of dual-output operators). Applies to operator calls.
 func WithOutput(d columns.FormatDesc) Option {

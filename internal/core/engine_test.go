@@ -17,11 +17,11 @@ import (
 	"morphstore/internal/vector"
 )
 
-// TestEnginePreparedMatchesLegacy: a plan prepared with functional options
-// on an engine of any parallelism must produce columns byte-identical to the
-// same plan prepared from the legacy Config form (WithConfig) on a
-// sequential engine, for uncompressed and compressed configurations.
-func TestEnginePreparedMatchesLegacy(t *testing.T) {
+// TestEnginePreparedMatchesSequential: a plan prepared on an engine of any
+// parallelism, with the style set engine-wide, must produce columns
+// byte-identical to the same plan prepared with the style set at Prepare on
+// a sequential engine, for uncompressed and compressed configurations.
+func TestEnginePreparedMatchesSequential(t *testing.T) {
 	db := buildParTestDB(t)
 	plan := buildParTestPlan(t)
 	base := map[string]columns.FormatDesc{
@@ -35,11 +35,11 @@ func TestEnginePreparedMatchesLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, desc := range []columns.FormatDesc{columns.UncomprDesc, columns.DynBPDesc, columns.DeltaBPDesc} {
-		want, err := execPlan(plan, enc, UniformConfig(plan, desc, vector.Vec512), 1)
+		want, err := execPlan(plan, enc, 1, WithUniformFormat(desc), WithStyle(vector.Vec512))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, par := range []int{1, 2, 3, 8} {
+		for _, par := range []int{2, 3, 8} {
 			e := NewEngine(enc, WithParallelism(par), WithStyle(vector.Vec512))
 			pr, err := e.Prepare(plan, WithUniformFormat(desc))
 			if err != nil {
@@ -70,7 +70,7 @@ func TestEnginePreparedMatchesLegacy(t *testing.T) {
 func TestEngineConcurrentExecutes(t *testing.T) {
 	db := buildParTestDB(t)
 	plan := buildParTestPlan(t)
-	seqRef, err := execPlan(plan, db, &Config{Inter: map[string]columns.FormatDesc{}, Style: vector.Vec512}, 1)
+	seqRef, err := execPlan(plan, db, 1, WithStyle(vector.Vec512))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func TestEngineFormatResolution(t *testing.T) {
 	if len(prc.Formats()) == 0 {
 		t.Fatal("cost-based preparation bound no formats")
 	}
-	want, err := execPlan(plan, db, &Config{Inter: map[string]columns.FormatDesc{}}, 1)
+	want, err := execPlan(plan, db, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,10 +6,8 @@ import (
 
 	"morphstore/internal/columns"
 	"morphstore/internal/dict"
-	"morphstore/internal/formats"
 	"morphstore/internal/morph"
 	"morphstore/internal/qerr"
-	"morphstore/internal/vector"
 )
 
 // Table is a named collection of equally long columns.
@@ -144,51 +142,6 @@ func (db *DB) Encode(base map[string]columns.FormatDesc) (*DB, error) {
 	return out, nil
 }
 
-// Config assigns a compressed format to every column of a query execution
-// plan (DP2: each intermediate chosen independently). Missing entries mean
-// uncompressed. Result columns are always uncompressed.
-//
-// Prepare adopts a Config through WithConfig; the functional options
-// express the same choices individually (WithFormats, WithStyle,
-// WithSpecialized, WithAutoMorph, WithKeep). The parallelism degree is not
-// part of a Config: it is set with WithParallelism at NewEngine, Prepare or
-// Execute.
-type Config struct {
-	// Inter maps intermediate column names to formats.
-	Inter map[string]columns.FormatDesc
-	// Style selects the processing-style specialization of all kernels.
-	Style vector.Style
-	// Specialized enables the specialized-operator integration degree for
-	// formats that have one (§3.3: employ them selectively).
-	Specialized bool
-	// AutoMorph permits the executor to insert on-the-fly morphs when an
-	// operator needs random access to a column whose format does not
-	// support it. When false such plans fail (strict consistency, §3.3).
-	AutoMorph bool
-	// Keep retains all intermediate columns in the result (used by the
-	// format-search and cost-model tooling).
-	Keep bool
-}
-
-// UncompressedConfig returns a config processing everything uncompressed.
-func UncompressedConfig(style vector.Style) *Config {
-	return &Config{Inter: map[string]columns.FormatDesc{}, Style: style}
-}
-
-// UniformConfig returns a config assigning desc to every intermediate of p
-// (respecting the random-access restriction, for which static BP is used).
-func UniformConfig(p *Plan, desc columns.FormatDesc, style vector.Style) *Config {
-	cfg := &Config{Inter: map[string]columns.FormatDesc{}, Style: style}
-	for _, name := range p.IntermediateNames() {
-		d := desc
-		if p.RandomAccessed(name) && !formats.HasRandomAccess(d.Kind) {
-			d = columns.StaticBPDesc(0)
-		}
-		cfg.Inter[name] = d
-	}
-	return cfg
-}
-
 // Measure aggregates the physical footprint and runtime of one execution,
 // mirroring the paper's two evaluation metrics.
 type Measure struct {
@@ -215,7 +168,7 @@ type Result struct {
 	// Cols holds the result columns by name.
 	Cols map[string]*columns.Column
 	// Inter holds every materialized column by name when keeping
-	// intermediates (Config.Keep / WithKeep).
+	// intermediates (WithKeep).
 	Inter map[string]*columns.Column
 	// Meas carries the footprint/runtime accounting.
 	Meas Measure

@@ -125,15 +125,14 @@ func TestExecuteParallelismEquivalence(t *testing.T) {
 		for _, interDesc := range interDescs {
 			for _, style := range vector.Styles {
 				name := fmt.Sprintf("%s/%v/%v", dbCase.name, interDesc, style)
-				cfg := UniformConfig(plan, interDesc, style)
-				cfg.Keep = true
-				want, err := execPlan(plan, dbCase.db, cfg, 1)
+				cfg := []Option{WithUniformFormat(interDesc), WithStyle(style), WithKeep(true)}
+				want, err := execPlan(plan, dbCase.db, 1, cfg...)
 				if err != nil {
 					t.Fatalf("%s: sequential: %v", name, err)
 				}
 				// 10*512+300 fact elements span 11 blocks; 12 over-subscribes.
 				for _, par := range []int{2, 3, 8, 12} {
-					got, err := execPlan(plan, dbCase.db, cfg, par)
+					got, err := execPlan(plan, dbCase.db, par, cfg...)
 					if err != nil {
 						t.Fatalf("%s p=%d: %v", name, par, err)
 					}
@@ -186,11 +185,8 @@ func TestExecuteParallelErrorPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 4} {
-		cfg := &Config{
-			Inter: map[string]columns.FormatDesc{"sel": columns.DynBPDesc, "sel2": columns.DynBPDesc},
-			Style: vector.Scalar,
-		}
-		res, err := execPlan(plan, db, cfg, par)
+		res, err := execPlan(plan, db, par,
+			WithFormats(map[string]columns.FormatDesc{"sel": columns.DynBPDesc, "sel2": columns.DynBPDesc}))
 		if err == nil {
 			t.Fatalf("p=%d: expected random-access error, got result %v", par, res)
 		}

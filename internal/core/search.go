@@ -37,11 +37,6 @@ func (a *Assignment) Clone() *Assignment {
 	return c
 }
 
-// Config converts the assignment into an executor config.
-func (a *Assignment) Config(style vector.Style, specialized bool) *Config {
-	return &Config{Inter: a.Inter, Style: style, Specialized: specialized}
-}
-
 // Candidates returns the admissible formats for the named plan column:
 // the paper's five formats, or only the random-access formats for columns
 // consumed by project (§4.2, footnote 3).
@@ -55,9 +50,7 @@ func Candidates(p *Plan, name string) []columns.FormatDesc {
 // materializedColumns runs the plan once fully uncompressed, returning the
 // uncompressed values of every base column and intermediate by name.
 func materializedColumns(p *Plan, db *DB) (map[string][]uint64, error) {
-	cfg := UncompressedConfig(vector.Scalar)
-	cfg.Keep = true
-	pr, err := NewEngine(db).Prepare(p, WithConfig(cfg))
+	pr, err := NewEngine(db).Prepare(p, WithKeep(true))
 	if err != nil {
 		return nil, err
 	}
@@ -179,30 +172,58 @@ func (e *encCache) dbFor(base map[string]columns.FormatDesc) (*DB, error) {
 	return out, nil
 }
 
-// measureRuntime executes the plan under the assignment, returning the
-// minimum runtime over `repeats` runs (minimum denoises scheduler jitter).
-func measureRuntime(p *Plan, cache *encCache, a *Assignment, style vector.Style, specialized bool, repeats int) (time.Duration, error) {
-	dbv, err := cache.dbFor(a.Base)
-	if err != nil {
-		return 0, err
+// MinOfN calls run n times (at least once) and returns the smallest
+// duration it reported; the minimum denoises scheduler jitter. The first
+// error ends the loop.
+func MinOfN(n int, run func() (time.Duration, error)) (time.Duration, error) {
+	var best time.Duration
+	for i := 0; i < n || i == 0; i++ {
+		t, err := run()
+		if err != nil {
+			return 0, err
+		}
+		if i == 0 || t < best {
+			best = t
+		}
 	}
+	return best, nil
+}
+
+// RunAssignment prepares p with the intermediate formats of a, the style
+// and the specialized-operator degree on a single-worker engine over db,
+// whose base columns must already carry a.Base, and executes it repeats
+// times (at least once). It returns the first result and the minimum
+// engine-measured runtime. check, when non-nil, vets the first result; its
+// error ends the run.
+func RunAssignment(db *DB, p *Plan, a *Assignment, style vector.Style, specialized bool, repeats int,
+	check func(*Result) error) (*Result, time.Duration, error) {
 	// Runtime-driven format choices compare sequential operator times;
 	// concurrent execution would fold scheduler contention into them.
-	pr, err := NewEngine(dbv, WithParallelism(1)).Prepare(p, WithConfig(a.Config(style, specialized)))
+	pr, err := NewEngine(db, WithParallelism(1)).Prepare(p,
+		WithFormats(a.Inter), WithStyle(style), WithSpecialized(specialized))
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	bestT := time.Duration(0)
-	for i := 0; i < repeats; i++ {
+	var first *Result
+	t, err := MinOfN(repeats, func() (time.Duration, error) {
 		res, err := pr.Execute(context.Background())
 		if err != nil {
 			return 0, err
 		}
-		if i == 0 || res.Meas.Runtime < bestT {
-			bestT = res.Meas.Runtime
+		if first == nil {
+			if check != nil {
+				if err := check(res); err != nil {
+					return 0, err
+				}
+			}
+			first = res
 		}
+		return res.Meas.Runtime, nil
+	})
+	if err != nil {
+		return nil, 0, err
 	}
-	return bestT, nil
+	return first, t, nil
 }
 
 // RuntimeGreedySearch finds a good (or, with maximize, bad) format
@@ -210,9 +231,6 @@ func measureRuntime(p *Plan, cache *encCache, a *Assignment, style vector.Style,
 // strategy: starting at the base data, fix one column's format at a time by
 // trying every candidate, measuring the full query, and keeping the best.
 func RuntimeGreedySearch(p *Plan, db *DB, style vector.Style, specialized, maximize bool, repeats int) (*Assignment, error) {
-	if repeats < 1 {
-		repeats = 1
-	}
 	cache := newEncCache(db)
 	a := NewAssignment()
 	baseSet := make(map[string]bool)
@@ -230,7 +248,11 @@ func RuntimeGreedySearch(p *Plan, db *DB, style vector.Style, specialized, maxim
 			} else {
 				a.Inter[name] = d
 			}
-			t, err := measureRuntime(p, cache, a, style, specialized, repeats)
+			dbv, err := cache.dbFor(a.Base)
+			if err != nil {
+				return nil, err
+			}
+			_, t, err := RunAssignment(dbv, p, a, style, specialized, repeats, nil)
 			if err != nil {
 				return nil, err
 			}

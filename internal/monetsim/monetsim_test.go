@@ -109,7 +109,7 @@ func TestMatchesMorphStoreEngine(t *testing.T) {
 	p := buildTestPlan(t)
 	db := buildTestDB(t, 20000, 3)
 
-	pr, err := core.NewEngine(db).Prepare(p, core.WithConfig(core.UncompressedConfig(vector.Vec512)))
+	pr, err := core.NewEngine(db).Prepare(p, core.WithStyle(vector.Vec512))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,10 +10,10 @@ import (
 	"morphstore/internal/vector"
 )
 
-// execPlan prepares p on a fresh engine over db under cfg and executes it
-// once.
-func execPlan(p *core.Plan, db *core.DB, cfg *core.Config) (*core.Result, error) {
-	pr, err := core.NewEngine(db).Prepare(p, core.WithConfig(cfg))
+// execPlan prepares p with the options o on a fresh engine over db and
+// executes it once.
+func execPlan(p *core.Plan, db *core.DB, o ...core.Option) (*core.Result, error) {
+	pr, err := core.NewEngine(db).Prepare(p, o...)
 	if err != nil {
 		return nil, err
 	}
@@ -219,15 +219,16 @@ func TestAllQueriesAllEnginesAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			cfgs := map[string]*core.Config{
-				"scalar-uncompr": core.UncompressedConfig(vector.Scalar),
-				"vec-uncompr":    core.UncompressedConfig(vector.Vec512),
-				"vec-staticbp":   core.UniformConfig(plan, columns.StaticBPDesc(0), vector.Vec512),
-				"vec-dynbp":      core.UniformConfig(plan, columns.DynBPDesc, vector.Vec512),
-				"vec-delta":      core.UniformConfig(plan, columns.DeltaBPDesc, vector.Vec512),
+			vec := core.WithStyle(vector.Vec512)
+			cfgs := map[string][]core.Option{
+				"scalar-uncompr": nil,
+				"vec-uncompr":    {vec},
+				"vec-staticbp":   {core.WithUniformFormat(columns.StaticBPDesc(0)), vec},
+				"vec-dynbp":      {core.WithUniformFormat(columns.DynBPDesc), vec},
+				"vec-delta":      {core.WithUniformFormat(columns.DeltaBPDesc), vec},
 			}
 			for name, cfg := range cfgs {
-				res, err := execPlan(plan, d.DB, cfg)
+				res, err := execPlan(plan, d.DB, cfg...)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -246,9 +247,8 @@ func TestAllQueriesAllEnginesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := core.UniformConfig(plan, columns.DynBPDesc, vector.Vec512)
-			cfg.Specialized = true
-			res, err := execPlan(plan, enc, cfg)
+			res, err := execPlan(plan, enc,
+				core.WithUniformFormat(columns.DynBPDesc), vec, core.WithSpecialized(true))
 			if err != nil {
 				t.Fatalf("specialized: %v", err)
 			}
@@ -319,7 +319,7 @@ func TestCompressedConfigShrinksFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resU, err := execPlan(plan, d.DB, core.UncompressedConfig(vector.Vec512))
+	resU, err := execPlan(plan, d.DB, core.WithStyle(vector.Vec512))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestCompressedConfigShrinksFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resC, err := execPlan(plan, enc, core.UniformConfig(plan, columns.StaticBPDesc(0), vector.Vec512))
+	resC, err := execPlan(plan, enc, core.WithUniformFormat(columns.StaticBPDesc(0)), core.WithStyle(vector.Vec512))
 	if err != nil {
 		t.Fatal(err)
 	}

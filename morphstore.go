@@ -190,22 +190,8 @@ type DB = core.DB
 // NewDB returns an empty database.
 func NewDB() *DB { return core.NewDB() }
 
-// Config assigns formats to a plan's intermediates and selects the
-// processing style, the specialized-operator degree, AutoMorph and Keep;
-// Engine.Prepare adopts it through WithConfig. The parallelism degree is
-// set with WithParallelism instead.
-type Config = core.Config
-
 // Result is a plan execution outcome with footprint/runtime accounting.
 type Result = core.Result
-
-// UncompressedConfig processes everything uncompressed.
-func UncompressedConfig(style Style) *Config { return core.UncompressedConfig(style) }
-
-// UniformConfig assigns one format to every intermediate of the plan.
-func UniformConfig(p *Plan, desc FormatDesc, style Style) *Config {
-	return core.UniformConfig(p, desc, style)
-}
 
 // Assignment is a complete format combination (base columns and
 // intermediates) for one plan.
@@ -249,3 +235,7 @@ func SSBReference(q SSBQuery, d *SSBData) ([]SSBRow, error) { return ssb.Referen
 func ExtractSSBResult(q SSBQuery, res *Result) ([]SSBRow, error) {
 	return ssb.ExtractResult(q, res)
 }
+
+// SSBRowsEqual reports whether two canonicalized SSB results are identical:
+// the same rows, each with the same key tuple and sum.
+func SSBRowsEqual(a, b []SSBRow) bool { return ssb.RowsEqual(a, b) }

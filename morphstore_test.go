@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// execPlan prepares plan on a fresh engine over db at parallelism par (0 =
-// the engine default) under cfg and executes it once.
-func execPlan(plan *Plan, db *DB, cfg *Config, par int) (*Result, error) {
-	pr, err := NewEngine(db, WithParallelism(par)).Prepare(plan, WithConfig(cfg))
+// execPlan prepares plan with the options o on a fresh engine over db at
+// parallelism par (0 = the engine default) and executes it once.
+func execPlan(plan *Plan, db *DB, par int, o ...Option) (*Result, error) {
+	pr, err := NewEngine(db, WithParallelism(par)).Prepare(plan, o...)
 	if err != nil {
 		return nil, err
 	}
@@ -94,11 +94,11 @@ func TestFacadePlanAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []*Config{
-		UncompressedConfig(Scalar),
-		UniformConfig(plan, DynBP, Vec512),
+	for _, cfg := range [][]Option{
+		nil,
+		{WithUniformFormat(DynBP), WithStyle(Vec512)},
 	} {
-		res, err := execPlan(plan, db, cfg, 0)
+		res, err := execPlan(plan, db, 0, cfg...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestFacadeSSB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := execPlan(plan, data.DB, UncompressedConfig(Vec512), 0)
+	res, err := execPlan(plan, data.DB, 0, WithStyle(Vec512))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestFacadeSSB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) || got[0].Sum != want[0].Sum {
+	if len(got) != len(want) || got[0].Sum != want[0].Sum || !SSBRowsEqual(got, want) {
 		t.Fatalf("facade SSB result mismatch: %v vs %v", got, want)
 	}
 }
@@ -160,7 +160,7 @@ func TestFacadeSSBParallel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := execPlan(plan, data.DB, UncompressedConfig(Vec512), 8)
+		res, err := execPlan(plan, data.DB, 8, WithStyle(Vec512))
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
